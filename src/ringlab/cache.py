@@ -2,7 +2,8 @@
 
 Each line is ``{"key": ..., "version": ..., "value": ...}``.  Entries
 written by a different tool version are treated as misses; corrupt
-lines are skipped with a warning, never an error.  There is a single
+lines, and current-version lines whose value fails ``validate``, are
+skipped with a warning, never an error.  There is a single
 writer per file (the sweep driver), so appends need no locking.
 """
 
@@ -12,16 +13,40 @@ import json
 import os
 import warnings
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 
 ENV_VAR = "RINGLAB_CACHE"
 
 
+def is_sweep_verdict(value) -> bool:
+    """Whether ``value`` has the shape the sweep stores per pair:
+    ``{"wnn": {"ok": bool, "witness": list | None},
+    "wnc": {"ok": bool, "witness": int | None}}``."""
+
+    def part(name, witness_type) -> bool:
+        entry = value.get(name)
+        return (
+            isinstance(entry, dict)
+            and isinstance(entry.get("ok"), bool)
+            and (entry.get("witness") is None or type(entry["witness"]) is witness_type)
+        )
+
+    return isinstance(value, dict) and part("wnn", list) and part("wnc", int)
+
+
 class VerdictCache:
-    def __init__(self, path: str | os.PathLike, *, version: str = __version__):
+    def __init__(
+        self,
+        path: str | os.PathLike,
+        *,
+        version: str = __version__,
+        validate: Callable[[object], bool] | None = None,
+    ):
         self.path = Path(path)
         self.version = version
+        self.validate = validate
         self._entries: dict[str, object] = {}
         self._load()
 
@@ -36,6 +61,10 @@ class VerdictCache:
                 key = record["key"]
                 version = record["version"]
                 value = record["value"]
+                if not isinstance(key, str):
+                    raise TypeError("cache key is not a string")
+                if version == self.version and self.validate and not self.validate(value):
+                    raise TypeError("cached value has the wrong shape")
             except (json.JSONDecodeError, KeyError, TypeError):
                 warnings.warn(f"skipping corrupt cache line {lineno} in {self.path}")
                 continue
@@ -61,4 +90,4 @@ def cache_from_env(flag_path: str | None, *, disabled: bool = False) -> VerdictC
     if disabled:
         return None
     path = flag_path or os.environ.get(ENV_VAR)
-    return VerdictCache(path) if path else None
+    return VerdictCache(path, validate=is_sweep_verdict) if path else None

@@ -172,8 +172,8 @@ def recognize_structure(ring: RingTable) -> StructureTag:
     return StructureTag(tag, boolean, z3, b_times_z3, field, split)
 
 
-def _radical_data(ring: RingTable, radical_cap: Optional[int]):
-    maxima = maximal_ideals(ring, cap=radical_cap)
+def _radical_data(ring: RingTable):
+    maxima = maximal_ideals(ring)
     residue_orders = sorted(ring.order // len(m) for m in maxima)
     jac_members = reduce(np.intersect1d, (m.members for m in maxima))
     jac = IdealSet(ring, jac_members, validate=False)
@@ -186,7 +186,7 @@ def is_nil_clean_criterion(ring: RingTable) -> bool:
     return recognize_structure(quot).is_boolean
 
 
-def is_nil_neat_criterion(ring: RingTable, *, radical_cap: Optional[int] = None) -> bool:
+def is_nil_neat_criterion(ring: RingTable) -> bool:
     """Structural test for finite rings: a field, or R/J(R) boolean.
 
     With J nonzero this makes R/J a proper image that must be nil-clean
@@ -197,7 +197,7 @@ def is_nil_neat_criterion(ring: RingTable, *, radical_cap: Optional[int] = None)
     """
     if is_field(ring):
         return True
-    _, _, jac = _radical_data(ring, radical_cap)
+    _, _, jac = _radical_data(ring)
     quot, _ = _quotient_ring(ring, jac)
     return recognize_structure(quot).is_boolean
 
@@ -209,9 +209,7 @@ class WeaklyNilCleanCriterion(NamedTuple):
     mod_jacobson_ok: bool        # J nil and same shape for R/J
 
 
-def weakly_nil_clean_criterion(
-    ring: RingTable, *, radical_cap: Optional[int] = None
-) -> WeaklyNilCleanCriterion:
+def weakly_nil_clean_criterion(ring: RingTable) -> WeaklyNilCleanCriterion:
     """Three independent structural tests, which must agree.
 
     Finite rings are zero-dimensional, so that hypothesis is free; the
@@ -219,7 +217,7 @@ def weakly_nil_clean_criterion(
     the nilpotent scan, the maximal-ideal intersection) and a mismatch
     raises :class:`DisagreementError`.
     """
-    _, residue_orders, jac = _radical_data(ring, radical_cap)
+    _, residue_orders, jac = _radical_data(ring)
     by_residues = all(s in (2, 3) for s in residue_orders) and residue_orders.count(3) <= 1
 
     nil = nilradical(ring)
@@ -239,7 +237,7 @@ def weakly_nil_clean_criterion(
     return WeaklyNilCleanCriterion(by_residues, by_residues, by_nilradical, by_jacobson)
 
 
-def weakly_nil_neat_criterion(ring: RingTable, *, radical_cap: Optional[int] = None) -> bool:
+def weakly_nil_neat_criterion(ring: RingTable) -> bool:
     """Structural test: field, or R/J in weakly-nil-clean shape when
     J != 0, or (J = 0) a product of residue fields that are all Z2 with
     at most one Z3, or exactly Z3 x Z3.
@@ -255,7 +253,7 @@ def weakly_nil_neat_criterion(ring: RingTable, *, radical_cap: Optional[int] = N
     """
     if is_field(ring):
         return True
-    _, residue_orders, jac = _radical_data(ring, radical_cap)
+    _, residue_orders, jac = _radical_data(ring)
     if len(jac) > 1:
         quot, _ = _quotient_ring(ring, jac)
         return recognize_structure(quot).in_weakly_nil_clean_shape
@@ -280,9 +278,7 @@ def nil_clean_group_ring_predicate(ring: RingTable, group: AbelianGroup) -> bool
     return group.is_p_group(2) and is_nil_clean_criterion(ring)
 
 
-def weakly_nil_clean_group_ring_predicate(
-    ring: RingTable, group: AbelianGroup, *, radical_cap: Optional[int] = None
-) -> PredicateResult:
+def weakly_nil_clean_group_ring_predicate(ring: RingTable, group: AbelianGroup) -> PredicateResult:
     """RG weakly nil-clean iff exactly one of three conditions holds.
 
     (1) R nil-clean and G a non-trivial 2-group;
@@ -291,7 +287,7 @@ def weakly_nil_clean_group_ring_predicate(
     (3) R weakly nil-clean and G trivial.
     """
     nc = is_nil_clean_criterion(ring)
-    wnc = weakly_nil_clean_criterion(ring, radical_cap=radical_cap).verdict
+    wnc = weakly_nil_clean_criterion(ring).verdict
     nontrivial = not group.is_trivial()
     conditions = {
         1: nc and nontrivial and group.is_p_group(2),
@@ -316,9 +312,7 @@ def nil_neat_group_ring_predicate(
     return group.is_p_group(2) and is_nil_clean_criterion(ring)
 
 
-def weakly_nil_neat_group_ring_predicate(
-    ring: RingTable, group: AbelianGroup, *, radical_cap: Optional[int] = None
-) -> PredicateResult:
+def weakly_nil_neat_group_ring_predicate(ring: RingTable, group: AbelianGroup) -> PredicateResult:
     """RG weakly nil-neat iff exactly one of four conditions holds.
 
     (1) G trivial and R weakly nil-neat;
@@ -328,10 +322,10 @@ def weakly_nil_neat_group_ring_predicate(
     (4) G cyclic of order 2 and R the ring of order 3.
     """
     nc = is_nil_clean_criterion(ring)
-    wnc = weakly_nil_clean_criterion(ring, radical_cap=radical_cap).verdict
+    wnc = weakly_nil_clean_criterion(ring).verdict
     nontrivial = not group.is_trivial()
     conditions = {
-        1: group.is_trivial() and weakly_nil_neat_criterion(ring, radical_cap=radical_cap),
+        1: group.is_trivial() and weakly_nil_neat_criterion(ring),
         2: nontrivial and group.is_p_group(2) and nc,
         3: nontrivial and group.is_p_group(3) and wnc and _three_is_nilpotent(ring),
         4: group.order == 2 and ring.order == 3,
@@ -490,7 +484,6 @@ def classify_ring(
     *,
     method: str = "both",
     ideal_cap: int = DEFAULT_IDEAL_CAP,
-    radical_cap: Optional[int] = None,
 ) -> ClassificationReport:
     """Run the requested decision methods and assemble a report.
 
@@ -520,9 +513,9 @@ def classify_ring(
     if run_crit:
         criterion = {
             "nil_clean": is_nil_clean_criterion(ring),
-            "weakly_nil_clean": weakly_nil_clean_criterion(ring, radical_cap=radical_cap).verdict,
-            "nil_neat": is_nil_neat_criterion(ring, radical_cap=radical_cap),
-            "weakly_nil_neat": weakly_nil_neat_criterion(ring, radical_cap=radical_cap),
+            "weakly_nil_clean": weakly_nil_clean_criterion(ring).verdict,
+            "nil_neat": is_nil_neat_criterion(ring),
+            "weakly_nil_neat": weakly_nil_neat_criterion(ring),
         }
 
     for name in ("nil_clean", "weakly_nil_clean", "nil_neat", "weakly_nil_neat"):

@@ -101,9 +101,7 @@ def _cmd_classify(args) -> int:
                 f"definitional method needs order <= {args.ideal_cap}, got {ring.order}"
             )
         method = "criterion"
-    report = classify.classify_ring(
-        ring, method=method, ideal_cap=args.ideal_cap, radical_cap=args.order_cap
-    )
+    report = classify.classify_ring(ring, method=method, ideal_cap=args.ideal_cap)
     payload = report.to_dict()
     if capped and args.method == "both":
         payload["note"] = "order above brute-force cap; criterion only"
@@ -147,15 +145,15 @@ def _cmd_classify(args) -> int:
 
 def _cmd_radical(args) -> int:
     expr = _parse(args.expr)
-    payload = {"ring": canonical_label(expr)}
     if isinstance(expr, GroupRingExpr):
         view = evaluate_group_ring(expr, order_cap=args.order_cap)
         ring = view.ring
     else:
         view = None
         ring = evaluate(expr, order_cap=args.order_cap)
+    payload = {"ring": canonical_label(expr)}
     nil = nilradical(ring)
-    jac = jacobson_radical(ring, cap=args.order_cap)
+    jac = jacobson_radical(ring)
     payload.update(
         order=ring.order,
         nilradical={"size": len(nil), "members": list(nil.key)},
@@ -163,7 +161,7 @@ def _cmd_radical(args) -> int:
     )
     agreement = True
     if view is not None:
-        karp = karpilovsky_radical(view, radical_cap=args.order_cap)
+        karp = karpilovsky_radical(view)
         agreement = karp == jac
         payload["karpilovsky"] = {
             "size": len(karp),

@@ -16,11 +16,12 @@ expressions that evaluate to identical tables.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Union
 
-from .group_algebra import group_ring, make_group
+from .group_algebra import group_ring, group_ring_order, make_group
 from .ideals import ideal_generated, _quotient_ring
 from .rings import DEFAULT_ORDER_CAP, RingLabError, RingTable, direct_product, make_zmod
 
@@ -229,6 +230,12 @@ def evaluate(expr: RingExpr, *, order_cap: int = DEFAULT_ORDER_CAP) -> RingTable
 
 
 def evaluate_group_ring(expr: GroupRingExpr, *, order_cap: int = DEFAULT_ORDER_CAP):
-    """Like :func:`evaluate` but keeps the group-ring view."""
+    """Like :func:`evaluate` but keeps the group-ring view.
+
+    The order cap is checked against the written cyclic orders before
+    :func:`make_group` factors them, since factoring a huge order is
+    slow.
+    """
     base = evaluate(expr.base, order_cap=order_cap)
+    group_ring_order(base.order, math.prod(expr.orders), cap=order_cap)
     return group_ring(base, make_group(expr.orders), cap=order_cap)

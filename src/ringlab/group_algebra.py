@@ -196,6 +196,21 @@ class GroupRingView:
         return f"GroupRingView({self.ring.label})"
 
 
+def group_ring_order(n: int, m: int, *, cap: int) -> int:
+    """The order n^m of a group ring with |R| = n >= 2 and |G| = m.
+
+    Raises :class:`CapExceeded` once a partial power passes ``cap``, so
+    a huge m costs at most log2(cap) multiplications, and the message
+    names the order as ``n^m`` rather than printing its digits.
+    """
+    size = 1
+    for _ in range(m):
+        size *= n
+        if size > cap:
+            raise CapExceeded(f"group ring order {n}^{m} exceeds cap {cap}")
+    return size
+
+
 def group_ring(base: RingTable, group: AbelianGroup, *, cap: int = DEFAULT_ORDER_CAP) -> GroupRingView:
     """Build RG: componentwise addition, convolution multiplication.
 
@@ -204,9 +219,7 @@ def group_ring(base: RingTable, group: AbelianGroup, *, cap: int = DEFAULT_ORDER
     """
     n = base.order
     m = group.order
-    size = n**m
-    if size > cap:
-        raise CapExceeded(f"group ring order {n}^{m} = {size} exceeds cap {cap}")
+    size = group_ring_order(n, m, cap=cap)
     dt = _table_dtype(size)
     radix = n ** np.arange(m, dtype=np.int64)
     coeff = ((np.arange(size, dtype=np.int64)[:, None] // radix[None, :]) % n).astype(
@@ -254,7 +267,7 @@ def augmentation(view: GroupRingView) -> RingHom:
     return RingHom(view.ring, base, total)
 
 
-def karpilovsky_radical(view: GroupRingView, *, radical_cap: int | None = None) -> IdealSet:
+def karpilovsky_radical(view: GroupRingView) -> IdealSet:
     """Jacobson radical of RG from base-ring data alone.
 
     Generators: every j*g with j in J(R) and g in G, together with every
@@ -262,7 +275,7 @@ def karpilovsky_radical(view: GroupRingView, *, radical_cap: int | None = None) 
     p-torsion elements of G, and p*r lies in J(R).
     """
     base, group = view.base, view.group
-    j_base = jacobson_radical(base, cap=radical_cap)
+    j_base = jacobson_radical(base)
     j_members = set(j_base.key)
     gens: set[int] = set()
     n = base.order

@@ -1,9 +1,11 @@
 """Ideals, quotients and radicals of table rings.
 
 The whole module is brute force by design: principal ideals are columns
-of the multiplication table, arbitrary ideals are join-closures of
-principal ones, maximality is decided by the quotient-is-a-field test,
-and the Jacobson radical is a literal intersection of maximal ideals.
+of the multiplication table, and arbitrary ideals are join-closures of
+principal ones.  Maximal ideals are not read off the ideal lattice:
+each is grown greedily from a principal ideal by adding principal
+ideals while the sum stays proper (see :func:`maximal_ideals`), and the
+Jacobson radical is a literal intersection of those maximal ideals.
 Everything is deterministic; ideal lists are always sorted by size and
 then lexicographically by member list.
 """
@@ -15,7 +17,7 @@ from functools import reduce
 import numpy as np
 
 from .rings import (
-    DEFAULT_ORDER_CAP,
+    _BLOCK,
     CapExceeded,
     RingHom,
     RingTable,
@@ -24,9 +26,6 @@ from .rings import (
 
 #: Default cap on the ring order for full ideal-lattice enumeration.
 DEFAULT_IDEAL_CAP = 1024
-
-#: Radicals only need maximal ideals and are allowed up to the global cap.
-DEFAULT_RADICAL_CAP = DEFAULT_ORDER_CAP
 
 
 class IdealSet:
@@ -176,23 +175,15 @@ def enumerate_ideals(ring: RingTable, *, cap: int = DEFAULT_IDEAL_CAP) -> list[I
     return [IdealSet(ring, m, validate=False) for m in ordered]
 
 
-def _quotient_tables(ring: RingTable, ideal: IdealSet):
-    """Coset reps and quotient tables; shared by quotient_ring and the
-    maximality test."""
-    members = ideal.members
-    rep = np.asarray(ring.add[:, members]).min(axis=1).astype(np.int64)
-    class_reps = np.unique(rep)
-    proj = np.searchsorted(class_reps, rep)
-    q_add = proj[ring.add[np.ix_(class_reps, class_reps)]]
-    q_mul = proj[ring.mul[np.ix_(class_reps, class_reps)]]
-    return class_reps, proj, q_add, q_mul
-
-
 def _quotient_ring(ring: RingTable, ideal: IdealSet) -> tuple[RingTable, np.ndarray]:
     """Quotient ring plus the raw projection vector (no hom object)."""
     if ideal.is_whole:
         raise ValueError("quotient by the whole ring is the zero ring; callers treat it as vacuous")
-    class_reps, proj, q_add, q_mul = _quotient_tables(ring, ideal)
+    rep = np.asarray(ring.add[:, ideal.members]).min(axis=1).astype(np.int64)
+    class_reps = np.unique(rep)
+    proj = np.searchsorted(class_reps, rep)
+    q_add = proj[ring.add[np.ix_(class_reps, class_reps)]]
+    q_mul = proj[ring.mul[np.ix_(class_reps, class_reps)]]
     gens = minimal_generators(ideal)
     label = f"{ring.label}/({','.join(map(str, gens))})"
     quot = RingTable(
@@ -211,38 +202,75 @@ def quotient_ring(ring: RingTable, ideal: IdealSet) -> tuple[RingTable, RingHom]
     return quot, RingHom(ring, quot, proj)
 
 
-def _is_field_table(add: np.ndarray, mul: np.ndarray, zero: int, one: int) -> bool:
-    n = add.shape[0]
-    if n < 2:
+def is_field(ring: RingTable) -> bool:
+    """Every nonzero element is a unit."""
+    if ring.order < 2:
         return False
-    invertible = (mul == one).any(axis=1)
-    invertible[zero] = True
+    invertible = (ring.mul == ring.one).any(axis=1)
+    invertible[ring.zero] = True
     return bool(invertible.all())
 
 
-def is_field(ring: RingTable) -> bool:
-    """Every nonzero element is a unit."""
-    return _is_field_table(ring.add, ring.mul, ring.zero, ring.one)
+def _grow_maximal(ring: RingTable, x: int, candidates: np.ndarray) -> np.ndarray:
+    """Members of a maximal ideal containing ``x``, a non-unit.
+
+    Starts from I = Rx and scans ``candidates`` (the non-units) in index
+    order, one block of at most ``_BLOCK`` table entries at a time.  y is
+    comaximal with I (I + Ry = R) exactly when some r*y lies in 1 - I.
+    The first y that is not comaximal is absorbed, I := I + Ry, which
+    stays proper; a y found comaximal stays so as I grows and is dropped
+    for good.  When no candidate is left, every y outside I is comaximal
+    with I, so I is maximal.
+    """
+    n = ring.order
+    step = max(1, _BLOCK // n)
+    member = np.zeros(n, dtype=bool)
+    member[ring.mul[:, x]] = True
+    one_minus = member[ring.add[ring.one, ring.neg]]  # y in 1 - I iff 1 - y in I
+    open_ = candidates[~member[candidates]]
+    while open_.size:
+        rows = open_[:step]
+        comaximal = one_minus[ring.mul[rows]].any(axis=1)
+        if comaximal.all():
+            open_ = open_[step:]
+            continue
+        k = int(np.argmin(comaximal))
+        multiples = np.unique(ring.mul[:, rows[k]])
+        member[np.unique(ring.add[np.ix_(np.flatnonzero(member), multiples)])] = True
+        one_minus = member[ring.add[ring.one, ring.neg]]
+        rest = np.concatenate([rows[k + 1 :][~comaximal[k + 1 :]], open_[step:]])
+        open_ = rest[~member[rest]]
+    return np.flatnonzero(member)
 
 
-def maximal_ideals(ring: RingTable, *, cap: int | None = None) -> list[IdealSet]:
-    """Proper ideals whose quotient is a field, in canonical order."""
-    eff = DEFAULT_RADICAL_CAP if cap is None else cap
-    out = []
-    for ideal in enumerate_ideals(ring, cap=eff):
-        if ideal.is_whole:
-            continue
-        if ideal.is_zero:
-            if is_field(ring):
-                out.append(ideal)
-            continue
-        index = ring.order // len(ideal)
-        if index < 2:
-            continue
-        _, proj, q_add, q_mul = _quotient_tables(ring, ideal)
-        if _is_field_table(q_add, q_mul, int(proj[ring.zero]), int(proj[ring.one])):
-            out.append(ideal)
-    return out
+def maximal_ideals(ring: RingTable) -> list[IdealSet]:
+    """All maximal ideals, in canonical order, found by greedy growth.
+
+    The lattice is never enumerated.  While some non-unit x lies in no
+    maximal ideal found so far, the least such x seeds a growth that
+    returns a maximal ideal containing x (:func:`_grow_maximal`); that
+    ideal is new, since x lies in none of the earlier ones.  The search
+    is complete by the Chinese remainder theorem (Atiyah-Macdonald
+    1.10): for maximal ideals M1, ..., Mk, R maps onto R/M1 x ... x
+    R/Mk, so each Mi contains an element lying in no other Mj.  That
+    element stays uncovered until Mi is found, so the loop runs exactly
+    one growth per maximal ideal.  A field has the zero ideal as its
+    only maximal ideal, grown from x = 0.
+    """
+    step = max(1, _BLOCK // ring.order)
+    covered = np.concatenate(  # the units
+        [(ring.mul[i : i + step] == ring.one).any(axis=1) for i in range(0, ring.order, step)]
+    )
+    candidates = np.flatnonzero(~covered)
+    found = []
+    while not covered.all():
+        x = int(np.argmin(covered))
+        members = _grow_maximal(ring, x, candidates)
+        covered[members] = True
+        covered[x] = True  # x is in Rx, unless the table is corrupted
+        found.append(members)
+    found.sort(key=lambda m: (m.size, tuple(m)))
+    return [IdealSet(ring, m, validate=False) for m in found]
 
 
 def is_prime_ideal(ring: RingTable, ideal: IdealSet) -> bool:
@@ -267,8 +295,8 @@ def nilradical(ring: RingTable) -> IdealSet:
     return IdealSet(ring, nil, validate=True)
 
 
-def jacobson_radical(ring: RingTable, *, cap: int | None = None) -> IdealSet:
+def jacobson_radical(ring: RingTable) -> IdealSet:
     """Intersection of all maximal ideals."""
-    maxima = maximal_ideals(ring, cap=cap)
+    maxima = maximal_ideals(ring)
     members = reduce(np.intersect1d, (m.members for m in maxima))
     return IdealSet(ring, members, validate=True)

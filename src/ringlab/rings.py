@@ -210,11 +210,16 @@ def element_classes(r: RingTable) -> ElementClasses:
         units=frozenset(map(int, idx[units])),
     )
     # sanity on any valid ring; failures indicate a corrupted table
-    assert r.zero in classes.nilpotents
-    assert r.zero in classes.idempotents and r.one in classes.idempotents
-    assert r.one in classes.units
-    assert not classes.nilpotents & classes.units
-    assert classes.nilpotents & classes.idempotents == {r.zero}
+    facts = {
+        "0 is nilpotent": r.zero in classes.nilpotents,
+        "0 and 1 are idempotent": r.zero in classes.idempotents and r.one in classes.idempotents,
+        "1 is a unit": r.one in classes.units,
+        "no nilpotent is a unit": not classes.nilpotents & classes.units,
+        "0 is the only nilpotent idempotent": classes.nilpotents & classes.idempotents == {r.zero},
+    }
+    broken = [fact for fact, holds in facts.items() if not holds]
+    if broken:
+        raise DisagreementError(f"corrupted table {r.label}: fails {'; '.join(broken)}")
     return classes
 
 

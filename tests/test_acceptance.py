@@ -90,8 +90,8 @@ def test_acceptance_3_radical_formula_up_to_6561():
             if ring is None:
                 ring = evaluate(expr)
             view = group_ring(ring, group, cap=KARPILOVSKY_CAP)
-            formula = karpilovsky_radical(view, radical_cap=KARPILOVSKY_CAP)
-            brute = jacobson_radical(view.ring, cap=KARPILOVSKY_CAP)
+            formula = karpilovsky_radical(view)
+            brute = jacobson_radical(view.ring)
             if formula != brute:
                 ok = False
             pairs += 1

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from ringlab.cache import VerdictCache, cache_from_env
+from ringlab.cache import VerdictCache, cache_from_env, is_sweep_verdict
 
 
 def test_put_get_round_trip(tmp_path):
@@ -67,3 +67,30 @@ def test_cache_entries_are_json_lines(tmp_path):
     VerdictCache(path).put("k", {"ok": True})
     record = json.loads(path.read_text().splitlines()[0])
     assert set(record) == {"key", "version", "value"}
+
+
+def test_wrongly_shaped_values_are_skipped(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    good = {"wnn": {"ok": False, "witness": [0, 2]}, "wnc": {"ok": True, "witness": None}}
+    bad_values = [
+        [1, 2],
+        {"wnn": {"ok": True, "witness": None}},
+        {"wnn": {"ok": 1, "witness": None}, "wnc": {"ok": True, "witness": None}},
+        {"wnn": {"ok": True, "witness": 3}, "wnc": {"ok": True, "witness": None}},
+        {"wnn": {"ok": True, "witness": None}, "wnc": {"ok": True, "witness": True}},
+    ]
+    writer = VerdictCache(path, version="v")
+    writer.put("good", good)
+    for i, value in enumerate(bad_values):
+        writer.put(f"bad{i}", value)
+    with path.open("a") as fh:
+        fh.write(json.dumps({"key": ["not", "a", "string"], "version": "v", "value": good}) + "\n")
+    with pytest.warns(UserWarning) as caught:
+        reloaded = VerdictCache(path, version="v", validate=is_sweep_verdict)
+    assert len(caught) == len(bad_values) + 1
+    assert reloaded.get("good") == good
+    assert len(reloaded) == 1
+    # other versions are misses anyway, so only the bad key is reported
+    with pytest.warns(UserWarning) as caught:
+        assert len(VerdictCache(path, version="w", validate=is_sweep_verdict)) == 0
+    assert len(caught) == 1

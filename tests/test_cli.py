@@ -2,7 +2,11 @@
 
 import json
 
+import pytest
+
+import util
 import ringlab.classify
+from ringlab import __version__
 from ringlab.cli import EXIT_CAP, EXIT_DISAGREEMENT, EXIT_OK, EXIT_USAGE, main
 from ringlab.sweep import SweepConfig, group_catalog, ring_catalog, run_sweep
 
@@ -101,6 +105,24 @@ def test_order_cap_exit_code(capsys):
     assert "cap" in err
 
 
+def test_group_ring_cap_is_checked_before_factoring():
+    # factoring the order 10^18 + 3 by trial division would take hours
+    done = util.run_python(
+        "-c", "from ringlab.cli import run; run()",
+        "classify", "GR(Z2, C1000000000000000003)",
+        timeout=30,
+    )
+    assert done.returncode == EXIT_CAP
+    assert "2^1000000000000000003" in done.stderr
+
+
+def test_group_ring_cap_message_prints_a_power(capsys):
+    for command in ("classify", "radical"):
+        code, _, err = run_cli(capsys, command, "GR(Z2, C4096)")
+        assert code == EXIT_CAP
+        assert err.strip() == "cap exceeded: group ring order 2^4096 exceeds cap 4096"
+
+
 def test_verify_theorem_small_run(tmp_path, capsys):
     out_path = tmp_path / "sweep.jsonl"
     code, out, _ = run_cli(
@@ -152,6 +174,18 @@ def test_verify_theorem_warm_cache_is_stable(tmp_path, capsys):
 
     assert normalize(out1) == normalize(out2)
     assert cache_path.exists() and cache_path.read_text().strip()
+
+
+def test_verify_theorem_skips_wrongly_shaped_cache_line(tmp_path, capsys):
+    cache_path = tmp_path / "cache.jsonl"
+    cache_path.write_text('{"key": "GR(Z2, 1)", "version": "%s", "value": [1, 2]}\n' % __version__)
+    args = ("verify-theorem", "--max-ring-order", "2", "--max-product-order", "2",
+            "--max-group-order", "1", "--cache", str(cache_path))
+    with pytest.warns(UserWarning, match="corrupt cache line 1"):
+        code, out, _ = run_cli(capsys, *args)
+    assert code == EXIT_OK
+    (record, _) = [json.loads(line) for line in out.splitlines()]
+    assert (record["ring"], record["group"], record["wnn_definitional"]) == ("Z2", "1", True)
 
 
 def test_verify_theorem_fault_injection_exits_3(tmp_path, capsys, monkeypatch):

@@ -9,6 +9,7 @@ from ringlab import (
     IdealSet,
     direct_product,
     enumerate_ideals,
+    group_ring,
     ideal_generated,
     is_field,
     is_prime_ideal,
@@ -19,6 +20,9 @@ from ringlab import (
     quotient_ring,
     validate_ring_axioms,
 )
+from ringlab.expr import evaluate
+from ringlab.sweep import SweepConfig, group_catalog, ring_catalog
+from test_acceptance import plain_ring_catalog  # noqa: F401  (fixture)
 
 
 def test_ideal_generated_examples():
@@ -58,6 +62,33 @@ def test_maximal_ideals_examples():
     assert [m.key for m in maximal_ideals(z4)] == [(0, 2)]
     z3 = make_zmod(3)
     assert [m.key for m in maximal_ideals(z3)] == [(0,)]
+
+
+def _maximal_ideals_by_lattice(ring):
+    """Reference: the ideals of the full lattice whose quotient is a field."""
+    out = []
+    for ideal in enumerate_ideals(ring, cap=ring.order):
+        if ideal.is_whole:
+            continue
+        if ideal.is_zero:
+            if is_field(ring):
+                out.append(ideal)
+        elif is_field(quotient_ring(ring, ideal)[0]):
+            out.append(ideal)
+    return out
+
+
+def test_maximal_ideals_match_lattice(plain_ring_catalog):
+    config = SweepConfig()
+    rings = list(plain_ring_catalog)
+    for expr in ring_catalog(config):
+        base = evaluate(expr)
+        for group in group_catalog(config.max_group_order):
+            if base.order**group.order <= 1024:
+                rings.append(group_ring(base, group).ring)
+    assert len(rings) > 150
+    for ring in rings:
+        assert maximal_ideals(ring) == _maximal_ideals_by_lattice(ring), ring.label
 
 
 def test_is_prime_ideal_examples():

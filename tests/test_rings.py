@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import util
 from ringlab import (
     CapExceeded,
+    DisagreementError,
     RingElem,
     RingHom,
     RingTable,
@@ -83,6 +84,34 @@ def test_group_ring_element_classes():
     assert view.ring.order == 8
     assert classes.nilpotents == {0}
     assert len(classes.idempotents) == 4
+
+
+def test_element_classes_rejects_corrupted_table():
+    z4 = make_zmod(4)
+    mul = np.array(z4.mul)
+    mul[0, 0] = 1  # 0*0 = 1: zero becomes a nilpotent unit
+    broken = RingTable(z4.add, mul, zero=0, one=1, label="Z4broken", check=False)
+    with pytest.raises(DisagreementError, match="no nilpotent is a unit"):
+        element_classes(broken)
+
+
+def test_element_classes_check_survives_optimize_flag():
+    # the same corrupted table under ``python -O``, which strips asserts
+    code = (
+        "import numpy as np\n"
+        "from ringlab import DisagreementError, RingTable, element_classes, make_zmod\n"
+        "z4 = make_zmod(4)\n"
+        "mul = np.array(z4.mul)\n"
+        "mul[0, 0] = 1\n"
+        "broken = RingTable(z4.add, mul, zero=0, one=1, label='Z4broken', check=False)\n"
+        "try:\n"
+        "    element_classes(broken)\n"
+        "except DisagreementError:\n"
+        "    print('raised')\n"
+    )
+    done = util.run_python("-O", "-c", code, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "raised"
 
 
 def test_characteristic():

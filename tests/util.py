@@ -1,13 +1,19 @@
-"""Independent oracles for the test suite.
+"""Independent oracles for the test suite, and a subprocess runner.
 
-Everything here is computed with plain integer arithmetic (or frozen
+The oracles are computed with plain integer arithmetic (or frozen
 from well-known tables), deliberately avoiding the table machinery
 under test.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
+
+import ringlab
 
 
 def zn_nilpotents(n: int) -> set[int]:
@@ -50,3 +56,16 @@ ABELIAN_GROUP_COUNTS = {
     1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 1, 7: 1, 8: 3, 9: 2, 10: 1,
     11: 1, 12: 2, 13: 1, 14: 1, 15: 1, 16: 5, 17: 1, 18: 2,
 }
+
+
+def run_python(*argv: str, timeout: float) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on ``argv`` with this ringlab importable.
+
+    ``timeout`` bounds the wall time, so a hang fails the test instead
+    of stalling the suite.
+    """
+    src = str(Path(ringlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=timeout
+    )
