@@ -1,9 +1,10 @@
 """Append-only verdict cache, line-delimited JSON.
 
-Each line is ``{"key": ..., "version": ..., "value": ...}``.  Entries
-written by a different tool version are treated as misses; corrupt
-lines, and current-version lines whose value fails ``validate``, are
-skipped with a warning, never an error.  There is a single
+Each line is ``{"key": ..., "version": ..., "value": ...}``.  Values are
+sweep verdicts (:func:`is_sweep_verdict`).  Entries written by a
+different tool version are treated as misses; corrupt lines, and
+current-version lines whose value is not a sweep verdict, are skipped
+with a warning, never an error.  There is a single
 writer per file (the sweep driver), so appends need no locking.
 """
 
@@ -13,7 +14,6 @@ import json
 import os
 import warnings
 from pathlib import Path
-from typing import Callable
 
 from . import __version__
 
@@ -37,16 +37,9 @@ def is_sweep_verdict(value) -> bool:
 
 
 class VerdictCache:
-    def __init__(
-        self,
-        path: str | os.PathLike,
-        *,
-        version: str = __version__,
-        validate: Callable[[object], bool] | None = None,
-    ):
+    def __init__(self, path: str | os.PathLike, *, version: str = __version__):
         self.path = Path(path)
         self.version = version
-        self.validate = validate
         self._entries: dict[str, object] = {}
         self._load()
 
@@ -63,7 +56,7 @@ class VerdictCache:
                 value = record["value"]
                 if not isinstance(key, str):
                     raise TypeError("cache key is not a string")
-                if version == self.version and self.validate and not self.validate(value):
+                if version == self.version and not is_sweep_verdict(value):
                     raise TypeError("cached value has the wrong shape")
             except (json.JSONDecodeError, KeyError, TypeError):
                 warnings.warn(f"skipping corrupt cache line {lineno} in {self.path}")
@@ -90,4 +83,4 @@ def cache_from_env(flag_path: str | None, *, disabled: bool = False) -> VerdictC
     if disabled:
         return None
     path = flag_path or os.environ.get(ENV_VAR)
-    return VerdictCache(path, validate=is_sweep_verdict) if path else None
+    return VerdictCache(path) if path else None

@@ -257,10 +257,7 @@ def maximal_ideals(ring: RingTable) -> list[IdealSet]:
     one growth per maximal ideal.  A field has the zero ideal as its
     only maximal ideal, grown from x = 0.
     """
-    step = max(1, _BLOCK // ring.order)
-    covered = np.concatenate(  # the units
-        [(ring.mul[i : i + step] == ring.one).any(axis=1) for i in range(0, ring.order, step)]
-    )
+    covered = (ring.mul == ring.one).any(axis=1)  # the units
     candidates = np.flatnonzero(~covered)
     found = []
     while not covered.all():

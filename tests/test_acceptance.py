@@ -13,7 +13,6 @@ from ringlab import (
     RingTable,
     direct_product,
     group_ring,
-    ideal_generated,
     is_nil_clean_definitional,
     is_nil_neat_definitional,
     is_weakly_nil_clean_definitional,
@@ -23,7 +22,6 @@ from ringlab import (
     make_group,
     make_zmod,
     nilradical,
-    quotient_ring,
     ring_isomorphic,
     validate_ring_axioms,
     weakly_nil_clean_criterion,
@@ -45,22 +43,6 @@ def _report(number: int, name: str, ok: bool) -> bool:
 def sweep_report():
     # defaults: Z_2..Z_9, products ab <= 12, groups of order <= 4, |RG| <= 1024
     return run_sweep(SweepConfig())
-
-
-@pytest.fixture(scope="module")
-def plain_ring_catalog():
-    rings = [make_zmod(n) for n in range(2, 33)]
-    for a in range(2, 9):
-        for b in range(a, 64 // a + 1):
-            rings.append(direct_product(make_zmod(a), make_zmod(b)))
-    for parent_order, gen in ((12, 6), (16, 8), (18, 6), (27, 9), (32, 4)):
-        parent = make_zmod(parent_order)
-        rings.append(quotient_ring(parent, ideal_generated(parent, {gen}))[0])
-    z4z9 = direct_product(make_zmod(4), make_zmod(9))
-    rings.append(quotient_ring(z4z9, ideal_generated(z4z9, {2 * 9 + 3}))[0])  # by ((2,3))
-    assert len(rings) >= 50
-    assert all(r.order <= 64 for r in rings)
-    return rings
 
 
 def test_acceptance_1_main_theorem_sweep(sweep_report):

@@ -4,36 +4,41 @@ import json
 
 import pytest
 
-from ringlab.cache import VerdictCache, cache_from_env, is_sweep_verdict
+from ringlab import __version__
+from ringlab.cache import VerdictCache, cache_from_env
+from ringlab.sweep import SweepConfig, run_sweep
+
+YES = {"wnn": {"ok": True, "witness": None}, "wnc": {"ok": True, "witness": None}}
+NO = {"wnn": {"ok": False, "witness": [0, 2]}, "wnc": {"ok": False, "witness": 3}}
 
 
 def test_put_get_round_trip(tmp_path):
     cache = VerdictCache(tmp_path / "cache.jsonl")
     assert cache.get("GR(Z3, C2)|weakly_nil_neat") is None
-    cache.put("GR(Z3, C2)|weakly_nil_neat", {"ok": True, "witness": None})
-    assert cache.get("GR(Z3, C2)|weakly_nil_neat") == {"ok": True, "witness": None}
+    cache.put("GR(Z3, C2)|weakly_nil_neat", YES)
+    assert cache.get("GR(Z3, C2)|weakly_nil_neat") == YES
     reloaded = VerdictCache(tmp_path / "cache.jsonl")
-    assert reloaded.get("GR(Z3, C2)|weakly_nil_neat") == {"ok": True, "witness": None}
+    assert reloaded.get("GR(Z3, C2)|weakly_nil_neat") == YES
 
 
 def test_version_bump_invalidates(tmp_path):
     path = tmp_path / "cache.jsonl"
-    VerdictCache(path, version="0.0.1").put("k", {"ok": False})
+    VerdictCache(path, version="0.0.1").put("k", NO)
     assert VerdictCache(path, version="0.0.2").get("k") is None
-    assert VerdictCache(path, version="0.0.1").get("k") == {"ok": False}
+    assert VerdictCache(path, version="0.0.1").get("k") == NO
 
 
 def test_corrupt_middle_line_is_skipped(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache = VerdictCache(path, version="v")
-    cache.put("a", 1)
+    cache.put("a", YES)
     with path.open("a") as fh:
         fh.write("{this is not json\n")
-    cache.put("b", 2)
+    cache.put("b", NO)
     with pytest.warns(UserWarning):
         reloaded = VerdictCache(path, version="v")
-    assert reloaded.get("a") == 1
-    assert reloaded.get("b") == 2
+    assert reloaded.get("a") == YES
+    assert reloaded.get("b") == NO
 
 
 def test_missing_file_reads_empty(tmp_path):
@@ -45,9 +50,9 @@ def test_missing_file_reads_empty(tmp_path):
 def test_last_entry_wins(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache = VerdictCache(path, version="v")
-    cache.put("k", 1)
-    cache.put("k", 2)
-    assert VerdictCache(path, version="v").get("k") == 2
+    cache.put("k", YES)
+    cache.put("k", NO)
+    assert VerdictCache(path, version="v").get("k") == NO
     assert len(path.read_text().splitlines()) == 2  # append-only
 
 
@@ -64,14 +69,14 @@ def test_cache_from_env(tmp_path, monkeypatch):
 
 def test_cache_entries_are_json_lines(tmp_path):
     path = tmp_path / "cache.jsonl"
-    VerdictCache(path).put("k", {"ok": True})
+    VerdictCache(path).put("k", YES)
     record = json.loads(path.read_text().splitlines()[0])
     assert set(record) == {"key", "version", "value"}
 
 
 def test_wrongly_shaped_values_are_skipped(tmp_path):
     path = tmp_path / "cache.jsonl"
-    good = {"wnn": {"ok": False, "witness": [0, 2]}, "wnc": {"ok": True, "witness": None}}
+    good = NO
     bad_values = [
         [1, 2],
         {"wnn": {"ok": True, "witness": None}},
@@ -86,11 +91,24 @@ def test_wrongly_shaped_values_are_skipped(tmp_path):
     with path.open("a") as fh:
         fh.write(json.dumps({"key": ["not", "a", "string"], "version": "v", "value": good}) + "\n")
     with pytest.warns(UserWarning) as caught:
-        reloaded = VerdictCache(path, version="v", validate=is_sweep_verdict)
+        reloaded = VerdictCache(path, version="v")
     assert len(caught) == len(bad_values) + 1
     assert reloaded.get("good") == good
     assert len(reloaded) == 1
     # other versions are misses anyway, so only the bad key is reported
     with pytest.warns(UserWarning) as caught:
-        assert len(VerdictCache(path, version="w", validate=is_sweep_verdict)) == 0
+        assert len(VerdictCache(path, version="w")) == 0
     assert len(caught) == 1
+
+
+def test_run_sweep_ignores_wrongly_shaped_line(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text('{"key": "GR(Z2, 1)", "version": "%s", "value": [1, 2]}\n' % __version__)
+    with pytest.warns(UserWarning, match="corrupt cache line 1"):
+        cache = VerdictCache(path)
+    config = SweepConfig(max_ring_order=2, max_product_order=2, max_group_order=1)
+    (record,) = run_sweep(config, cache=cache).records
+    assert (record["ring"], record["group"], record["wnn_definitional"]) == ("Z2", "1", True)
+    with pytest.warns(UserWarning, match="corrupt cache line 1"):
+        reloaded = VerdictCache(path)
+    assert reloaded.get("GR(Z2, 1)") == YES  # the sweep appended a good line

@@ -22,7 +22,6 @@ from ringlab import (
 )
 from ringlab.expr import evaluate
 from ringlab.sweep import SweepConfig, group_catalog, ring_catalog
-from test_acceptance import plain_ring_catalog  # noqa: F401  (fixture)
 
 
 def test_ideal_generated_examples():
