@@ -23,7 +23,6 @@ desk-scale check of the classification theorems they implement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -35,6 +34,7 @@ from .ideals import (
     _quotient_ring,
     enumerate_ideals,
     is_field,
+    jacobson_radical,
     maximal_ideals,
     nilradical,
 )
@@ -43,6 +43,7 @@ from .rings import (
     DisagreementError,
     RingHom,
     RingTable,
+    _memo,
     additive_orders,
     characteristic,
     element_classes,
@@ -172,18 +173,26 @@ def recognize_structure(ring: RingTable) -> StructureTag:
     return StructureTag(tag, boolean, z3, b_times_z3, field, split)
 
 
-def _radical_data(ring: RingTable):
-    maxima = maximal_ideals(ring)
-    residue_orders = sorted(ring.order // len(m) for m in maxima)
-    jac_members = reduce(np.intersect1d, (m.members for m in maxima))
-    jac = IdealSet(ring, jac_members, validate=False)
-    return maxima, residue_orders, jac
+@_memo
+def _shape_mod_nilradical(ring: RingTable) -> StructureTag:
+    """The :class:`StructureTag` of R/N(R)."""
+    return recognize_structure(_quotient_ring(ring, nilradical(ring))[0])
+
+
+@_memo
+def _shape_mod_jacobson(ring: RingTable) -> StructureTag:
+    """The :class:`StructureTag` of R/J(R)."""
+    return recognize_structure(_quotient_ring(ring, jacobson_radical(ring))[0])
+
+
+def _residue_orders(ring: RingTable) -> list[int]:
+    """Orders of the residue fields R/M, ascending."""
+    return sorted(ring.order // len(m) for m in maximal_ideals(ring))
 
 
 def is_nil_clean_criterion(ring: RingTable) -> bool:
     """Structural test: R is nil-clean iff R/N(R) is boolean."""
-    quot, _ = _quotient_ring(ring, nilradical(ring))
-    return recognize_structure(quot).is_boolean
+    return _shape_mod_nilradical(ring).is_boolean
 
 
 def is_nil_neat_criterion(ring: RingTable) -> bool:
@@ -195,11 +204,7 @@ def is_nil_neat_criterion(ring: RingTable) -> bool:
     boolean, which forces all factors to be Z2 unless there is only one
     factor.  Cross-checked against the definitional decider in tests.
     """
-    if is_field(ring):
-        return True
-    _, _, jac = _radical_data(ring)
-    quot, _ = _quotient_ring(ring, jac)
-    return recognize_structure(quot).is_boolean
+    return is_field(ring) or _shape_mod_jacobson(ring).is_boolean
 
 
 class WeaklyNilCleanCriterion(NamedTuple):
@@ -217,17 +222,14 @@ def weakly_nil_clean_criterion(ring: RingTable) -> WeaklyNilCleanCriterion:
     the nilpotent scan, the maximal-ideal intersection) and a mismatch
     raises :class:`DisagreementError`.
     """
-    _, residue_orders, jac = _radical_data(ring)
+    residue_orders = _residue_orders(ring)
     by_residues = all(s in (2, 3) for s in residue_orders) and residue_orders.count(3) <= 1
 
-    nil = nilradical(ring)
-    quot_n, _ = _quotient_ring(ring, nil)
-    by_nilradical = recognize_structure(quot_n).in_weakly_nil_clean_shape
+    by_nilradical = _shape_mod_nilradical(ring).in_weakly_nil_clean_shape
 
-    nil_set = set(nil.key)
-    jac_is_nil = all(j in nil_set for j in jac.key)
-    quot_j, _ = _quotient_ring(ring, jac)
-    by_jacobson = jac_is_nil and recognize_structure(quot_j).in_weakly_nil_clean_shape
+    nil_set = set(nilradical(ring).key)
+    jac_is_nil = all(j in nil_set for j in jacobson_radical(ring).key)
+    by_jacobson = jac_is_nil and _shape_mod_jacobson(ring).in_weakly_nil_clean_shape
 
     if not (by_residues == by_nilradical == by_jacobson):
         raise DisagreementError(
@@ -253,10 +255,9 @@ def weakly_nil_neat_criterion(ring: RingTable) -> bool:
     """
     if is_field(ring):
         return True
-    _, residue_orders, jac = _radical_data(ring)
-    if len(jac) > 1:
-        quot, _ = _quotient_ring(ring, jac)
-        return recognize_structure(quot).in_weakly_nil_clean_shape
+    if len(jacobson_radical(ring)) > 1:
+        return _shape_mod_jacobson(ring).in_weakly_nil_clean_shape
+    residue_orders = _residue_orders(ring)
     if not all(s in (2, 3) for s in residue_orders):
         return False
     return residue_orders.count(3) <= 1 or residue_orders == [3, 3]

@@ -147,8 +147,7 @@ class _Parser:
         while self.peek() == "x":
             self.expect("x")
             orders.append(self._cyclic())
-        # C1 factors are the trivial group; dropping them here keeps
-        # pretty -> parse round trips structurally identical
+        # C1 factors are the trivial group
         return tuple(d for d in orders if d > 1)
 
     def _cyclic(self) -> int:
@@ -171,27 +170,11 @@ def parse_ring_expr(text: str) -> RingExpr:
     return node
 
 
-def pretty(expr: RingExpr) -> str:
-    """Print an expression; re-parsing yields a structurally identical AST."""
-    if isinstance(expr, ZmodExpr):
-        return f"Z{expr.n}"
-    if isinstance(expr, ProductExpr):
-        return f"{pretty(expr.left)} x {pretty(expr.right)}"
-    if isinstance(expr, QuotientExpr):
-        return f"{pretty(expr.base)}/({','.join(map(str, expr.gens))})"
-    if isinstance(expr, GroupRingExpr):
-        return f"GR({pretty(expr.base)}, {_group_str(expr.orders)})"
-    raise TypeError(f"not a ring expression: {expr!r}")
-
-
-def _group_str(orders: tuple[int, ...]) -> str:
-    if not orders or all(d == 1 for d in orders):
-        return "1"
-    return " x ".join(f"C{d}" for d in orders)
-
-
 def canonical_label(expr: RingExpr) -> str:
-    """Cache key: like :func:`pretty` but with group factors canonicalized."""
+    """Print an expression with its group factors canonicalized.
+
+    The label re-parses, and is the sweep's cache key.
+    """
     if isinstance(expr, ZmodExpr):
         return f"Z{expr.n}"
     if isinstance(expr, ProductExpr):

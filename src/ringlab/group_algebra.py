@@ -94,32 +94,9 @@ class AbelianGroup:
             n //= p
         return n == 1
 
-    def p_component(self, p: int) -> "AbelianGroup":
-        """The subgroup of p-power torsion, as an abstract group."""
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        return AbelianGroup([d for d in self.factors if d % p == 0])
-
-    def quotient_by_component(self, p: int) -> "AbelianGroup":
-        """G / G_p: the product of the non-p cyclic factors."""
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        return AbelianGroup([d for d in self.factors if d % p != 0])
-
     def elements(self) -> list[tuple[int, ...]]:
         """Exponent tuples in lexicographic (index) order."""
         return list(product(*(range(d) for d in self.factors)))
-
-    def index_of(self, exponents: Sequence[int]) -> int:
-        idx = 0
-        for e, d in zip(exponents, self.factors):
-            idx = idx * d + (e % d)
-        return idx
-
-    def compose(self, i: int, j: int) -> int:
-        ei = self.elements()[i]
-        ej = self.elements()[j]
-        return self.index_of([a + b for a, b in zip(ei, ej)])
 
     def cayley(self) -> np.ndarray:
         elems = np.array(self.elements(), dtype=np.int64).reshape(self.order, len(self.factors))
@@ -175,22 +152,6 @@ class GroupRingView:
         self.base = base
         self.group = group
         self.coeff_of = _readonly(coeff_of)
-
-    def encode(self, coeffs: Sequence[int]) -> int:
-        """Ring index of the given coefficient tuple."""
-        n = self.base.order
-        idx = 0
-        for j in reversed(range(self.group.order)):
-            idx = idx * n + int(coeffs[j]) % n
-        return idx
-
-    def embed_base(self, r: int) -> int:
-        """Image of a base-ring element (coefficient r on the identity)."""
-        return int(r)
-
-    def embed_group(self, g: int) -> int:
-        """Image of a group element (coefficient one in position g)."""
-        return int(self.base.one) * self.base.order ** int(g)
 
     def __repr__(self) -> str:
         return f"GroupRingView({self.ring.label})"

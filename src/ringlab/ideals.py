@@ -6,7 +6,9 @@ principal ones.  Maximal ideals are not read off the ideal lattice:
 each is grown greedily from a principal ideal by adding principal
 ideals while the sum stays proper (see :func:`maximal_ideals`), and the
 Jacobson radical is a literal intersection of those maximal ideals.
-Everything is deterministic; ideal lists are always sorted by size and
+The lattice, the maximal ideals and both radicals are memoized on the
+ring as member arrays (see :mod:`ringlab.rings`).  Everything is
+deterministic; ideal lists are always sorted by size and
 then lexicographically by member list.
 """
 
@@ -21,6 +23,8 @@ from .rings import (
     CapExceeded,
     RingHom,
     RingTable,
+    _memo,
+    _readonly,
     element_classes,
 )
 
@@ -145,6 +149,12 @@ def enumerate_ideals(ring: RingTable, *, cap: int = DEFAULT_IDEAL_CAP) -> list[I
     n = ring.order
     if n > cap:
         raise CapExceeded(f"ideal enumeration needs order <= {cap}, got {n}")
+    return [IdealSet(ring, m, validate=False) for m in _lattice_members(ring)]
+
+
+@_memo
+def _lattice_members(ring: RingTable) -> tuple[np.ndarray, ...]:
+    n = ring.order
     known: dict[bytes, np.ndarray] = {}
     frontier: list[np.ndarray] = []
     for x in range(n):
@@ -172,7 +182,7 @@ def enumerate_ideals(ring: RingTable, *, cap: int = DEFAULT_IDEAL_CAP) -> list[I
                     fresh.append(joined)
         frontier = fresh
     ordered = sorted(known.values(), key=lambda m: (m.size, tuple(m)))
-    return [IdealSet(ring, m, validate=False) for m in ordered]
+    return tuple(map(_readonly, ordered))
 
 
 def _quotient_ring(ring: RingTable, ideal: IdealSet) -> tuple[RingTable, np.ndarray]:
@@ -257,6 +267,11 @@ def maximal_ideals(ring: RingTable) -> list[IdealSet]:
     one growth per maximal ideal.  A field has the zero ideal as its
     only maximal ideal, grown from x = 0.
     """
+    return [IdealSet(ring, m, validate=False) for m in _maximal_members(ring)]
+
+
+@_memo
+def _maximal_members(ring: RingTable) -> tuple[np.ndarray, ...]:
     covered = (ring.mul == ring.one).any(axis=1)  # the units
     candidates = np.flatnonzero(~covered)
     found = []
@@ -267,7 +282,7 @@ def maximal_ideals(ring: RingTable) -> list[IdealSet]:
         covered[x] = True  # x is in Rx, unless the table is corrupted
         found.append(members)
     found.sort(key=lambda m: (m.size, tuple(m)))
-    return [IdealSet(ring, m, validate=False) for m in found]
+    return tuple(map(_readonly, found))
 
 
 def is_prime_ideal(ring: RingTable, ideal: IdealSet) -> bool:
@@ -288,12 +303,21 @@ def nilradical(ring: RingTable) -> IdealSet:
     Commutativity guarantees closure, so a failure here signals a
     corrupted table and raises ``ValueError``.
     """
+    return IdealSet(ring, _nilradical_members(ring), validate=False)
+
+
+@_memo
+def _nilradical_members(ring: RingTable) -> np.ndarray:
     nil = sorted(element_classes(ring).nilpotents)
-    return IdealSet(ring, nil, validate=True)
+    return IdealSet(ring, nil, validate=True).members
 
 
 def jacobson_radical(ring: RingTable) -> IdealSet:
     """Intersection of all maximal ideals."""
-    maxima = maximal_ideals(ring)
-    members = reduce(np.intersect1d, (m.members for m in maxima))
-    return IdealSet(ring, members, validate=True)
+    return IdealSet(ring, _jacobson_members(ring), validate=False)
+
+
+@_memo
+def _jacobson_members(ring: RingTable) -> np.ndarray:
+    members = reduce(np.intersect1d, _maximal_members(ring))
+    return IdealSet(ring, members, validate=True).members

@@ -9,11 +9,22 @@ strings that re-parse through the expression grammar in
 
 Tables are numpy integer arrays made read-only after construction, so
 instances are immutable and safe to share between threads.
+
+Facts derived from the tables (element classes, the ideal lattice,
+maximal ideals, the radicals, the shapes of R/N and R/J) are memoized
+on the instance by the private :func:`_memo` decorator, so each is
+computed at most once per ring however many deciders ask for it.  A
+memo value is a frozenset, a read-only array, a tuple of these or a
+small frozen record, and never holds a reference back to the ring:
+callers rebuild objects such as ideals from it on every call, so the
+tables are freed as soon as the ring itself is.  Two threads may race
+to fill the same entry; that only duplicates equal work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 
 import numpy as np
 
@@ -67,7 +78,7 @@ class RingTable:
         checking always lives there, never here.
     """
 
-    __slots__ = ("order", "add", "mul", "zero", "one", "label", "neg")
+    __slots__ = ("order", "add", "mul", "zero", "one", "label", "neg", "_facts")
 
     def __init__(self, add, mul, zero: int, one: int, label: str, *, check: bool = True):
         add = np.asarray(add)
@@ -98,15 +109,13 @@ class RingTable:
         self.mul = _readonly(mul)
         # additive inverse of i sits where row i of `add` hits zero
         self.neg = _readonly((add == zero).argmax(axis=1).astype(dt))
+        self._facts: dict = {}
 
     def __len__(self) -> int:
         return self.order
 
     def __repr__(self) -> str:
         return f"RingTable({self.label!r}, order={self.order})"
-
-    def elem(self, index: int) -> "RingElem":
-        return RingElem(self, index)
 
     def int_mul(self, k: int, x: int) -> int:
         """k-fold sum x + x + ... + x (k >= 0)."""
@@ -116,19 +125,23 @@ class RingTable:
         return acc
 
 
-@dataclass(frozen=True)
-class RingElem:
-    """An element of a specific ring, as (ring, index)."""
+def _memo(fn):
+    """Compute ``fn(ring)`` at most once per ring instance.
 
-    ring: RingTable
-    index: int
+    The value must not refer to the ring (see the module docstring).
+    An exception is not memoized, so a corrupted table raises on every
+    call.
+    """
 
-    def __post_init__(self):
-        if not 0 <= self.index < self.ring.order:
-            raise ValueError(f"element index {self.index} out of range for {self.ring!r}")
+    @wraps(fn)
+    def memoized(ring: RingTable):
+        try:
+            return ring._facts[fn]
+        except KeyError:
+            value = ring._facts[fn] = fn(ring)
+            return value
 
-    def __str__(self) -> str:
-        return f"{self.index}@{self.ring.label}"
+    return memoized
 
 
 @dataclass(frozen=True)
@@ -197,6 +210,7 @@ def _nilpotent_mask(r: RingTable) -> np.ndarray:
     return nil
 
 
+@_memo
 def element_classes(r: RingTable) -> ElementClasses:
     """Scan the tables for nilpotents, idempotents and units."""
     n = r.order
@@ -376,12 +390,6 @@ class RingHom:
 
     def is_surjective(self) -> bool:
         return len(np.unique(self.map)) == self.codomain.order
-
-    def is_bijective(self) -> bool:
-        return self.domain.order == self.codomain.order and self.is_surjective()
-
-    def kernel_members(self) -> np.ndarray:
-        return np.flatnonzero(self.map == self.codomain.zero)
 
     def __repr__(self) -> str:
         return f"RingHom({self.domain.label} -> {self.codomain.label})"

@@ -11,9 +11,11 @@ fields.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from . import __version__, classify
 from .cache import VerdictCache
@@ -43,6 +45,9 @@ class SweepConfig:
             raise ValueError("max_groupring_order must be >= 2")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        cpus = os.cpu_count() or 1
+        if self.jobs > cpus:
+            raise ValueError(f"jobs must be <= {cpus}, the number of CPUs")
 
     def to_dict(self) -> dict:
         return {
@@ -97,12 +102,19 @@ def group_catalog(max_order: int) -> list[AbelianGroup]:
     return groups
 
 
+@lru_cache(maxsize=1)
+def _base_ring(expr: RingExpr, order_cap: int):
+    """The evaluated base ring, kept while the sweep runs through its
+    groups, so that its memoized facts are derived once per ring."""
+    return evaluate(expr, order_cap=order_cap)
+
+
 def _evaluate_pair(args) -> dict:
     """Worker body: one (ring expr, group factors) pair to one record."""
     expr, factors, config_dict, cached = args
     config = SweepConfig(**config_dict, jobs=1)
     started = time.perf_counter()
-    ring = evaluate(expr, order_cap=config.order_cap)
+    ring = _base_ring(expr, config.order_cap)
     group = make_group(factors)
     size = ring.order**group.order
 
@@ -169,20 +181,23 @@ def run_sweep(config: SweepConfig, *, cache: VerdictCache | None = None) -> Swee
     config.validate()
     tasks = []
     config_dict = config.to_dict()
+    groups = group_catalog(config.max_group_order)
     for expr in ring_catalog(config):
-        for group in group_catalog(config.max_group_order):
-            base_order = _expr_order(expr)
+        base_order = _expr_order(expr)
+        for group in groups:
             if base_order**group.order > config.max_groupring_order:
                 continue
             key = f"GR({canonical_label(expr)}, {group.label})"
             cached = cache.get(key) if cache is not None else None
             tasks.append((key, (expr, group.factors, config_dict, cached)))
 
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    workers = min(config.jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_evaluate_pair, (args for _, args in tasks)))
     else:
         records = [_evaluate_pair(args) for _, args in tasks]
+        _base_ring.cache_clear()  # free the last base ring's tables
 
     for (key, _), record in zip(tasks, records):
         was_cached = record.pop("from_cache")

@@ -6,6 +6,7 @@ import pytest
 
 import util
 import ringlab.classify
+import ringlab.sweep
 from ringlab import __version__
 from ringlab.cli import EXIT_CAP, EXIT_DISAGREEMENT, EXIT_OK, EXIT_USAGE, main
 from ringlab.sweep import SweepConfig, group_catalog, ring_catalog, run_sweep
@@ -186,6 +187,54 @@ def test_verify_theorem_skips_wrongly_shaped_cache_line(tmp_path, capsys):
     assert code == EXIT_OK
     (record, _) = [json.loads(line) for line in out.splitlines()]
     assert (record["ring"], record["group"], record["wnn_definitional"]) == ("Z2", "1", True)
+
+
+TINY_SWEEP = ("verify-theorem", "--max-ring-order", "2", "--max-product-order", "2",
+              "--max-group-order", "1")
+
+
+@pytest.mark.parametrize("flag", ["--cache", "--out"])
+def test_verify_theorem_os_error_is_usage_error(tmp_path, flag):
+    # --cache names a directory; --out a file in a missing directory
+    if flag == "--cache":
+        args = ("--cache", str(tmp_path))
+    else:
+        args = ("--no-cache", "--out", str(tmp_path / "missing" / "out.jsonl"))
+    done = util.run_python("-c", "from ringlab.cli import run; run()", *TINY_SWEEP, *args, timeout=60)
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
+
+
+def _fake_pool(monkeypatch) -> list[int]:
+    """Make the sweep record each requested worker count and raise,
+    instead of forking workers."""
+    requested = []
+
+    def pool(max_workers):
+        requested.append(max_workers)
+        raise RuntimeError("no process pool in tests")
+
+    monkeypatch.setattr(ringlab.sweep, "ProcessPoolExecutor", pool)
+    return requested
+
+
+def test_verify_theorem_rejects_more_jobs_than_cpus(capsys, monkeypatch):
+    import os
+
+    requested = _fake_pool(monkeypatch)
+    jobs = str((os.cpu_count() or 1) + 1)
+    code, _, err = run_cli(capsys, *TINY_SWEEP, "--no-cache", "--jobs", jobs)
+    assert code == EXIT_USAGE and "jobs" in err
+    assert requested == []
+
+
+def test_sweep_starts_no_more_workers_than_pairs(monkeypatch):
+    monkeypatch.setattr(ringlab.sweep.os, "cpu_count", lambda: 64)
+    requested = _fake_pool(monkeypatch)
+    config = SweepConfig(max_ring_order=3, max_product_order=3, max_group_order=1, jobs=64)
+    with pytest.raises(RuntimeError, match="no process pool"):
+        run_sweep(config)
+    assert requested == [2]  # Z2 and Z3, each with the trivial group
 
 
 def test_verify_theorem_fault_injection_exits_3(tmp_path, capsys, monkeypatch):

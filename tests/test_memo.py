@@ -1,0 +1,63 @@
+"""Derived ring facts are computed once per ring and keep no ring alive."""
+
+import sys
+
+from ringlab import (
+    classify_ring,
+    direct_product,
+    evaluate,
+    group_ring,
+    jacobson_radical,
+    karpilovsky_radical,
+    make_group,
+    make_zmod,
+    maximal_ideals,
+    weakly_nil_clean_group_ring_predicate,
+    weakly_nil_neat_group_ring_predicate,
+)
+from ringlab import ideals
+from ringlab.sweep import SweepConfig, ring_catalog, run_sweep
+
+
+def _count_growths(monkeypatch) -> list[int]:
+    calls = []
+    grow = ideals._grow_maximal
+
+    def counted(*args):
+        calls.append(1)
+        return grow(*args)
+
+    monkeypatch.setattr(ideals, "_grow_maximal", counted)
+    return calls
+
+
+def test_maximal_ideals_are_grown_once_per_ring(monkeypatch):
+    base = direct_product(make_zmod(4), make_zmod(3))
+    expected = len(maximal_ideals(direct_product(make_zmod(4), make_zmod(3))))
+    calls = _count_growths(monkeypatch)
+    classify_ring(base)
+    for factors in ([], [2], [3]):
+        weakly_nil_neat_group_ring_predicate(base, make_group(factors))
+        weakly_nil_clean_group_ring_predicate(base, make_group(factors))
+    assert len(calls) == expected == 2
+
+
+def test_sweep_grows_maximal_ideals_once_per_base_ring(monkeypatch):
+    config = SweepConfig(max_ring_order=4, max_product_order=4, max_group_order=2, max_groupring_order=64)
+    expected = sum(len(maximal_ideals(evaluate(e))) for e in ring_catalog(config))
+    calls = _count_growths(monkeypatch)
+    report = run_sweep(config)
+    assert report.all_agree and len(report.records) > len(ring_catalog(config))
+    assert len(calls) == expected
+
+
+def test_memo_holds_no_reference_to_the_ring():
+    base = make_zmod(9)
+    view = group_ring(base, make_group([3]))
+    ring = view.ring
+    before = sys.getrefcount(ring), sys.getrefcount(base)
+    classify_ring(ring)
+    classify_ring(base)
+    jacobson_radical(ring)
+    karpilovsky_radical(view)
+    assert (sys.getrefcount(ring), sys.getrefcount(base)) == before

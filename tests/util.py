@@ -51,6 +51,17 @@ def crt_pair_map(a: int, b: int) -> list[int]:
     return [(x % a) * b + (x % b) for x in range(a * b)]
 
 
+def embed_base(view, r: int) -> int:
+    """Index of r in RG: coefficient r on the identity, which the
+    mixed-radix layout leaves at index r."""
+    return int(r)
+
+
+def embed_group(view, g: int) -> int:
+    """Index of the group element g in RG: coefficient one at position g."""
+    return int(view.base.one) * view.base.order ** int(g)
+
+
 # Number of abelian groups of each order (classification by partitions).
 ABELIAN_GROUP_COUNTS = {
     1: 1, 2: 1, 3: 1, 4: 2, 5: 1, 6: 1, 7: 1, 8: 3, 9: 2, 10: 1,
