@@ -142,12 +142,11 @@ def recognize_structure(ring: RingTable) -> StructureTag:
     order exactly 3.  The Peirce decomposition x -> (ex, (1-e)x) then
     splits the ring, so e is recorded as reproducible evidence.
     """
-    idx = np.arange(ring.order)
-    boolean = bool((ring.mul.diagonal() == idx).all())
+    idempotents = sorted(element_classes(ring).idempotents)
+    boolean = len(idempotents) == ring.order
     z3 = ring.order == 3
     field = is_field(ring)
     split = None
-    idempotents = sorted(int(i) for i in idx[ring.mul.diagonal() == idx])
     for e in idempotents:
         if e in (ring.zero, ring.one):
             continue

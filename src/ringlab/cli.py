@@ -214,6 +214,8 @@ def _cmd_verify_theorem(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     cache = cache_from_env(args.cache, disabled=args.no_cache)
+    if args.out:
+        open(args.out, "a").close()  # fail on an unwritable path before the sweep, keep old contents
     report = run_sweep(config, cache=cache)
     lines = report.jsonl_lines()
     if args.out:

@@ -216,9 +216,7 @@ def is_field(ring: RingTable) -> bool:
     """Every nonzero element is a unit."""
     if ring.order < 2:
         return False
-    invertible = (ring.mul == ring.one).any(axis=1)
-    invertible[ring.zero] = True
-    return bool(invertible.all())
+    return len(element_classes(ring).units | {ring.zero}) == ring.order
 
 
 def _grow_maximal(ring: RingTable, x: int, candidates: np.ndarray) -> np.ndarray:
@@ -272,7 +270,8 @@ def maximal_ideals(ring: RingTable) -> list[IdealSet]:
 
 @_memo
 def _maximal_members(ring: RingTable) -> tuple[np.ndarray, ...]:
-    covered = (ring.mul == ring.one).any(axis=1)  # the units
+    covered = np.zeros(ring.order, dtype=bool)
+    covered[list(element_classes(ring).units)] = True
     candidates = np.flatnonzero(~covered)
     found = []
     while not covered.all():

@@ -23,7 +23,7 @@ from .classify import is_weakly_nil_clean_definitional, is_weakly_nil_neat_defin
 from .expr import ProductExpr, RingExpr, ZmodExpr, canonical_label, evaluate
 from .group_algebra import AbelianGroup, _factorint, group_ring, make_group
 from .ideals import DEFAULT_IDEAL_CAP
-from .rings import DEFAULT_ORDER_CAP
+from .rings import DEFAULT_ORDER_CAP, CapExceeded
 
 
 @dataclass
@@ -182,12 +182,16 @@ def run_sweep(config: SweepConfig, *, cache: VerdictCache | None = None) -> Swee
     tasks = []
     config_dict = config.to_dict()
     groups = group_catalog(config.max_group_order)
+    limit = min(config.ideal_cap, config.order_cap)
     for expr in ring_catalog(config):
         base_order = _expr_order(expr)
         for group in groups:
-            if base_order**group.order > config.max_groupring_order:
+            size = base_order**group.order
+            if size > config.max_groupring_order:
                 continue
             key = f"GR({canonical_label(expr)}, {group.label})"
+            if size > limit:  # fail before any pair is built, not when the scan reaches it
+                raise CapExceeded(f"{key} of order {size} exceeds cap {limit}")
             cached = cache.get(key) if cache is not None else None
             tasks.append((key, (expr, group.factors, config_dict, cached)))
 

@@ -6,6 +6,7 @@ import pytest
 
 import util
 import ringlab.classify
+import ringlab.cli
 import ringlab.sweep
 from ringlab import __version__
 from ringlab.cli import EXIT_CAP, EXIT_DISAGREEMENT, EXIT_OK, EXIT_USAGE, main
@@ -205,6 +206,37 @@ def test_verify_theorem_os_error_is_usage_error(tmp_path, flag):
     assert done.stderr.startswith("error: ") and "Traceback" not in done.stderr
 
 
+def _refuse(what):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{what} must not be called")
+
+    return refused
+
+
+def test_verify_theorem_opens_out_before_the_sweep(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(ringlab.cli, "run_sweep", _refuse("run_sweep"))
+    out = tmp_path / "missing" / "out.jsonl"
+    code, _, err = run_cli(capsys, *TINY_SWEEP, "--no-cache", "--out", str(out))
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_verify_theorem_checks_pair_orders_before_building(capsys, monkeypatch):
+    # GR(Z6, C4) has order 1296, above the default ideal cap 1024
+    monkeypatch.setattr(ringlab.sweep, "_evaluate_pair", _refuse("_evaluate_pair"))
+    code, _, err = run_cli(
+        capsys,
+        "verify-theorem",
+        "--no-cache",
+        "--max-ring-order", "6",
+        "--max-product-order", "6",
+        "--max-group-order", "4",
+        "--max-groupring-order", "1300",
+    )
+    assert code == EXIT_CAP
+    assert "1296" in err and "Traceback" not in err
+
+
 def _fake_pool(monkeypatch) -> list[int]:
     """Make the sweep record each requested worker count and raise,
     instead of forking workers."""
@@ -271,7 +303,8 @@ def test_sweep_catalogs():
     assert [g.label for g in groups] == ["1", "C2", "C3", "C2 x C2", "C4"]
 
 
-def test_sweep_parallel_matches_serial():
+def test_sweep_parallel_matches_serial(monkeypatch):
+    monkeypatch.setattr(ringlab.sweep.os, "cpu_count", lambda: 2)  # jobs=2 on any host
     serial = run_sweep(SweepConfig(max_ring_order=3, max_product_order=4, max_group_order=2, max_groupring_order=64))
     parallel = run_sweep(
         SweepConfig(max_ring_order=3, max_product_order=4, max_group_order=2, max_groupring_order=64, jobs=2)

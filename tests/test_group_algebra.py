@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import util
 from ringlab import (
     CapExceeded,
+    RingTable,
     augmentation,
     direct_product,
     element_classes,
@@ -22,8 +23,9 @@ from ringlab import (
     ring_isomorphic,
     validate_ring_axioms,
 )
+from ringlab.expr import evaluate
 from ringlab.group_algebra import AbelianGroup
-from ringlab.sweep import group_catalog
+from ringlab.sweep import SweepConfig, group_catalog, ring_catalog
 
 
 def test_make_group_examples():
@@ -103,9 +105,11 @@ def test_embeddings_respect_operations():
             r_, s_ = util.embed_base(view, r), util.embed_base(view, s)
             assert ring.add[r_, s_] == util.embed_base(view, base.add[r, s])
             assert ring.mul[r_, s_] == util.embed_base(view, base.mul[r, s])
-    for g in range(group.order):
-        for h in range(group.order):
-            product = util.embed_group(view, group.cayley()[g, h])
+    elements = group.elements()
+    for g, eg in enumerate(elements):
+        for h, eh in enumerate(elements):
+            gh = tuple((a + b) % d for a, b, d in zip(eg, eh, group.factors))
+            product = util.embed_group(view, elements.index(gh))
             assert ring.mul[util.embed_group(view, g), util.embed_group(view, h)] == product
 
 
@@ -165,13 +169,60 @@ def test_karpilovsky_matches_jacobson(n, factors):
 
 
 def test_iterated_group_ring_coherence():
-    # R[C2][C2] and R[C2 x C2] agree up to isomorphism
-    z2 = make_zmod(2)
-    once = group_ring(z2, make_group([2]))
-    twice = group_ring(once.ring, make_group([2]))
-    direct = group_ring(z2, make_group([2, 2]))
-    ok, _ = ring_isomorphic(twice.ring, direct.ring)
-    assert ok
+    # R[C_outer x C_inner] is (R[C_inner])[C_outer], table for table
+    for n, outer, inner in ((2, 2, 2), (3, 2, 3), (2, 2, 4)):
+        base = make_zmod(n)
+        twice = group_ring(group_ring(base, make_group([inner])).ring, make_group([outer]))
+        direct = group_ring(base, make_group([outer, inner]))
+        assert np.array_equal(twice.ring.add, direct.ring.add)
+        assert np.array_equal(twice.ring.mul, direct.ring.mul)
+
+
+def _reference_group_ring(base, group):
+    """RG by convolution over all of G, |G|^2 gathers: the construction
+    that the cyclic tower of :func:`group_ring` replaced."""
+    n, m = base.order, group.order
+    elements = group.elements()
+    index = {e: i for i, e in enumerate(elements)}
+    radix = n ** np.arange(m, dtype=np.int64)
+    coeff = (np.arange(n**m, dtype=np.int64)[:, None] // radix) % n
+    add = np.zeros((n**m, n**m), dtype=np.int64)
+    mul = np.zeros_like(add)
+    for g, eg in enumerate(elements):
+        add += base.add[coeff[:, g, None], coeff[None, :, g]] * radix[g]
+        conv = base.zero
+        for h, eh in enumerate(elements):
+            k = index[tuple((a - b) % d for a, b, d in zip(eg, eh, group.factors))]  # h + k = g
+            conv = base.add[conv, base.mul[coeff[:, h, None], coeff[None, :, k]]]
+        mul += conv * radix[g]
+    ring = RingTable(add, mul, zero=0, one=base.one, label=f"GR({base.label}, {group.label})")
+    return ring, coeff.astype(base.add.dtype)
+
+
+def _tower_cases():
+    config = SweepConfig()
+    for expr in ring_catalog(config):
+        base = evaluate(expr)
+        for group in group_catalog(config.max_group_order):
+            if base.order**group.order <= config.max_groupring_order:
+                yield base, group
+    for factors in ([2, 2, 2], [2, 4], [3, 3], [6]):
+        yield make_zmod(2), make_group(factors)
+
+
+def test_group_ring_matches_full_convolution():
+    cases = list(_tower_cases())
+    assert len(cases) == 53 + 4
+    for base, group in cases:
+        view = group_ring(base, group)
+        ring, coeff = _reference_group_ring(base, group)
+        for got, want in (
+            (view.ring.add, ring.add),
+            (view.ring.mul, ring.mul),
+            (view.coeff_of, coeff),
+        ):
+            assert got.dtype == want.dtype and np.array_equal(got, want), ring.label
+        assert (view.ring.zero, view.ring.one, view.ring.label) == (ring.zero, ring.one, ring.label)
 
 
 def test_augmentation_is_verified_hom():
