@@ -1,11 +1,12 @@
 """Ideals, quotients and radicals of table rings.
 
 The whole module is brute force by design: principal ideals are columns
-of the multiplication table, and arbitrary ideals are join-closures of
-principal ones.  Maximal ideals are not read off the ideal lattice:
-each is grown greedily from a principal ideal by adding principal
-ideals while the sum stays proper (see :func:`maximal_ideals`), and the
-Jacobson radical is a literal intersection of those maximal ideals.
+of the multiplication table, and every ideal is a sum of principal
+ones, built one summand at a time.  Maximal ideals are not read off
+the ideal lattice: each is grown greedily from a principal ideal by
+adding principal ideals while the sum stays proper (see
+:func:`maximal_ideals`), and the Jacobson radical is a literal
+intersection of those maximal ideals.
 The lattice, the maximal ideals and both radicals are memoized on the
 ring as member arrays (see :mod:`ringlab.rings`).  Everything is
 deterministic; ideal lists are always sorted by size and
@@ -96,29 +97,30 @@ def _check_ideal(ring: RingTable, members: np.ndarray) -> None:
         raise ValueError("set is not closed under ambient multiplication")
 
 
-def _additive_closure(ring: RingTable, seed: np.ndarray) -> np.ndarray:
-    """Close a set of indices under addition by repeated squaring."""
-    s = np.unique(np.append(seed, ring.zero))
-    while True:
-        t = np.unique(ring.add[np.ix_(s, s)])
-        if t.size == s.size:
-            return s
-        s = t
+def _principal(ring: RingTable, x: int) -> np.ndarray:
+    """Sorted members of the principal ideal Rx, a column of ``mul``."""
+    return np.unique(ring.mul[:, x]).astype(np.int64)
 
 
-def ideal_generated(ring: RingTable, gens, *, validate: bool = True) -> IdealSet:
-    """Least ideal containing ``gens``.
+def _ideal_sum(ring: RingTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted members of I + J, from the sorted members of I and J."""
+    return np.unique(ring.add[np.ix_(a, b)]).astype(np.int64)
 
-    Since the ring is commutative with 1, this is the additive closure
-    of all multiples ``r*g``; no further multiplication pass is needed.
+
+def ideal_generated(ring: RingTable, gens) -> IdealSet:
+    """Least ideal containing ``gens``: the sum of the principal ideals Rg.
+
+    Starting from the zero ideal, each generator not yet in the ideal
+    adds its principal ideal.
     """
     gens = np.unique(np.fromiter(gens, dtype=np.int64)) if not isinstance(gens, np.ndarray) else np.unique(gens.astype(np.int64))
     if gens.size and (gens.min() < 0 or gens.max() >= ring.order):
         raise ValueError("generator index out of range")
-    if gens.size == 0:
-        return IdealSet(ring, [ring.zero], validate=validate)
-    multiples = np.unique(ring.mul[:, gens])
-    return IdealSet(ring, _additive_closure(ring, multiples), validate=validate)
+    members = np.array([ring.zero], dtype=np.int64)
+    for g in gens:
+        if g not in members:
+            members = _ideal_sum(ring, members, _principal(ring, g))
+    return IdealSet(ring, members)
 
 
 def minimal_generators(ideal: IdealSet) -> list[int]:
@@ -132,7 +134,7 @@ def minimal_generators(ideal: IdealSet) -> list[int]:
         if x in span:
             continue
         gens.append(int(x))
-        span = ideal_generated(ring, gens, validate=False).members
+        span = _ideal_sum(ring, span, _principal(ring, x))
         if span.size == len(ideal):
             break
     return gens
@@ -141,10 +143,11 @@ def minimal_generators(ideal: IdealSet) -> list[int]:
 def enumerate_ideals(ring: RingTable, *, cap: int = DEFAULT_IDEAL_CAP) -> list[IdealSet]:
     """The complete ideal lattice.
 
-    Starts from all principal ideals (columns of the multiplication
-    table) and closes under pairwise joins ``I + J`` until no new ideal
-    appears.  Every ideal of a finite ring is a finite sum of principal
-    ideals, so the fixpoint is the full lattice.
+    Walks a queue that starts as the distinct principal ideals (R*0 is
+    the zero ideal) and appends every new sum I + P of a queued I and a
+    principal P.  Every ideal is a sum P1 + ... + Pk of principal ideals
+    and each partial sum reaches the queue, so the walk ends with the
+    full lattice.
     """
     n = ring.order
     if n > cap:
@@ -156,31 +159,24 @@ def enumerate_ideals(ring: RingTable, *, cap: int = DEFAULT_IDEAL_CAP) -> list[I
 def _lattice_members(ring: RingTable) -> tuple[np.ndarray, ...]:
     n = ring.order
     known: dict[bytes, np.ndarray] = {}
-    frontier: list[np.ndarray] = []
     for x in range(n):
-        members = np.unique(ring.mul[:, x]).astype(np.int64)
-        key = members.tobytes()
-        if key not in known:
-            known[key] = members
-            frontier.append(members)
-    while frontier:
-        fresh: list[np.ndarray] = []
-        snapshot = list(known.values())
-        for i_members in frontier:
-            for j_members in snapshot:
-                small, large = (
-                    (i_members, j_members)
-                    if i_members.size <= j_members.size
-                    else (j_members, i_members)
-                )
-                if np.isin(small, large, assume_unique=True).all():
-                    continue  # join is `large`, already known
-                joined = np.unique(ring.add[np.ix_(small, large)]).astype(np.int64)
-                key = joined.tobytes()
-                if key not in known:
-                    known[key] = joined
-                    fresh.append(joined)
-        frontier = fresh
+        p = _principal(ring, x)
+        known.setdefault(p.tobytes(), p)
+    principal = list(known.values())
+    masks = np.zeros((len(principal), n), dtype=bool)
+    for row, p in zip(masks, principal):
+        row[p] = True
+    sizes = masks.sum(axis=1)
+    queue = list(principal)  # grows while it is walked
+    for ideal in queue:
+        common = masks[:, ideal].sum(axis=1)  # |P & I| for each principal P
+        # P inside I or I inside P: the sum is I or P, both already known
+        for k in np.flatnonzero((common < sizes) & (common < ideal.size)):
+            joined = _ideal_sum(ring, ideal, principal[k])
+            key = joined.tobytes()
+            if key not in known:
+                known[key] = joined
+                queue.append(joined)
     ordered = sorted(known.values(), key=lambda m: (m.size, tuple(m)))
     return tuple(map(_readonly, ordered))
 
@@ -243,6 +239,7 @@ def _grow_maximal(ring: RingTable, x: int, candidates: np.ndarray) -> np.ndarray
             open_ = open_[step:]
             continue
         k = int(np.argmin(comaximal))
+        # an inline I + Ry, not _ideal_sum: J's tests check it against ideal_generated
         multiples = np.unique(ring.mul[:, rows[k]])
         member[np.unique(ring.add[np.ix_(np.flatnonzero(member), multiples)])] = True
         one_minus = member[ring.add[ring.one, ring.neg]]

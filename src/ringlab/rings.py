@@ -66,7 +66,8 @@ class RingTable:
     ----------
     add, mul:
         Square integer tables; entry ``[i, j]`` is the index of the sum
-        (product) of elements ``i`` and ``j``.
+        (product) of elements ``i`` and ``j``.  A table already in the
+        table dtype is frozen in place, not copied.
     zero, one:
         Indices of the additive and multiplicative identities.
     label:
@@ -87,8 +88,8 @@ class RingTable:
             raise ValueError("operation tables must be square and of equal shape")
         n = int(add.shape[0])
         dt = _table_dtype(n)
-        add = add.astype(dt, copy=True)
-        mul = mul.astype(dt, copy=True)
+        add = add.astype(dt, copy=False)
+        mul = mul.astype(dt, copy=False)
         zero = int(zero)
         one = int(one)
         if check:

@@ -181,7 +181,8 @@ def run_sweep(config: SweepConfig, *, cache: VerdictCache | None = None) -> Swee
     config.validate()
     tasks = []
     config_dict = config.to_dict()
-    groups = group_catalog(config.max_group_order)
+    # |R| >= 2, so a group of order above log2(max_groupring_order) forms no pair
+    groups = group_catalog(min(config.max_group_order, config.max_groupring_order.bit_length() - 1))
     limit = min(config.ideal_cap, config.order_cap)
     for expr in ring_catalog(config):
         base_order = _expr_order(expr)

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from ringlab import direct_product, ideal_generated, make_zmod, quotient_ring
+from ringlab import direct_product, group_ring, ideal_generated, make_zmod, quotient_ring
+from ringlab.expr import evaluate
+from ringlab.sweep import SweepConfig, group_catalog, ring_catalog
 
 settings.register_profile(
     "ringlab",
@@ -26,3 +28,17 @@ def plain_ring_catalog():
     assert len(rings) >= 50
     assert all(r.order <= 64 for r in rings)
     return rings
+
+
+@pytest.fixture(scope="session")
+def sweep_group_rings():
+    """The 53 group rings RG of the default ``verify-theorem`` sweep."""
+    config = SweepConfig()
+    views = []
+    for expr in ring_catalog(config):
+        base = evaluate(expr)
+        for group in group_catalog(config.max_group_order):
+            if base.order**group.order <= config.max_groupring_order:
+                views.append(group_ring(base, group))
+    assert len(views) == 53
+    return views

@@ -237,6 +237,24 @@ def test_verify_theorem_checks_pair_orders_before_building(capsys, monkeypatch):
     assert "1296" in err and "Traceback" not in err
 
 
+def test_verify_theorem_drops_groups_too_large_for_any_pair():
+    # |R| >= 2, so groups of order above log2(16) = 4 form no pair; the
+    # catalog must not be built up to the requested 10^6
+    small = ("--max-ring-order", "3", "--max-product-order", "3", "--max-groupring-order", "16")
+
+    def records(max_group_order):
+        done = util.run_python(
+            "-c", "from ringlab.cli import run; run()", "verify-theorem", "--no-cache", *small,
+            "--max-group-order", max_group_order, timeout=30,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        *lines, footer = done.stdout.splitlines()
+        assert json.loads(footer)["config"]["max_group_order"] == int(max_group_order)
+        return [{k: v for k, v in json.loads(line).items() if k != "wall_ms"} for line in lines]
+
+    assert records("1000000") == records("4")
+
+
 def _fake_pool(monkeypatch) -> list[int]:
     """Make the sweep record each requested worker count and raise,
     instead of forking workers."""

@@ -9,7 +9,6 @@ from ringlab import (
     IdealSet,
     direct_product,
     enumerate_ideals,
-    group_ring,
     ideal_generated,
     is_field,
     is_prime_ideal,
@@ -17,11 +16,12 @@ from ringlab import (
     make_zmod,
     maximal_ideals,
     nilradical,
+    parse_ring_expr,
     quotient_ring,
     validate_ring_axioms,
 )
 from ringlab.expr import evaluate
-from ringlab.sweep import SweepConfig, group_catalog, ring_catalog
+from ringlab.ideals import minimal_generators
 
 
 def test_ideal_generated_examples():
@@ -77,17 +77,91 @@ def _maximal_ideals_by_lattice(ring):
     return out
 
 
-def test_maximal_ideals_match_lattice(plain_ring_catalog):
-    config = SweepConfig()
-    rings = list(plain_ring_catalog)
-    for expr in ring_catalog(config):
-        base = evaluate(expr)
-        for group in group_catalog(config.max_group_order):
-            if base.order**group.order <= 1024:
-                rings.append(group_ring(base, group).ring)
+def test_maximal_ideals_match_lattice(plain_ring_catalog, sweep_group_rings):
+    rings = list(plain_ring_catalog) + [view.ring for view in sweep_group_rings]
     assert len(rings) > 150
     for ring in rings:
         assert maximal_ideals(ring) == _maximal_ideals_by_lattice(ring), ring.label
+
+
+def _closure_reference(ring, gens):
+    """Reference ideal_generated: close all multiples r*g under addition."""
+    s = np.unique(np.append(ring.mul[:, list(gens)], ring.zero)).astype(np.int64)
+    while True:
+        t = np.unique(ring.add[np.ix_(s, s)]).astype(np.int64)
+        if t.size == s.size:
+            return s
+        s = t
+
+
+def _lattice_by_pairwise_joins(ring):
+    """Reference lattice: close the principal ideals under pairwise joins."""
+    known = {}
+    for x in range(ring.order):
+        members = np.unique(ring.mul[:, x]).astype(np.int64)
+        known.setdefault(members.tobytes(), members)
+    frontier = list(known.values())
+    while frontier:
+        fresh = []
+        snapshot = list(known.values())
+        for a in frontier:
+            for b in snapshot:
+                joined = np.unique(ring.add[np.ix_(a, b)]).astype(np.int64)
+                if joined.tobytes() not in known:
+                    known[joined.tobytes()] = joined
+                    fresh.append(joined)
+        frontier = fresh
+    return sorted(known.values(), key=lambda m: (m.size, tuple(m)))
+
+
+def _minimal_generators_reference(ring, members):
+    """Reference minimal_generators: regenerate the span for every new generator."""
+    if members.size == 1:
+        return [ring.zero]
+    gens, span = [], np.array([ring.zero])
+    for x in map(int, members):
+        if x not in span:
+            gens.append(x)
+            span = _closure_reference(ring, gens)
+            if span.size == members.size:
+                break
+    return gens
+
+
+@pytest.fixture(scope="module")
+def ideal_test_rings(plain_ring_catalog, sweep_group_rings):
+    """The plain catalog, the sweep group rings and three rings whose
+    ideals need several principal summands."""
+    rings = list(plain_ring_catalog) + [view.ring for view in sweep_group_rings]
+    for label in ("Z2 x Z2 x Z2 x Z2 x Z2 x Z2", "GR(Z2, C2 x C2 x C2)", "GR(Z4, C2 x C2)"):
+        rings.append(evaluate(parse_ring_expr(label)))
+    return rings
+
+
+def test_enumerate_ideals_matches_pairwise_joins(ideal_test_rings):
+    for ring in ideal_test_rings:
+        got = [ideal.members for ideal in enumerate_ideals(ring, cap=ring.order)]
+        want = _lattice_by_pairwise_joins(ring)
+        assert len(got) == len(want), ring.label
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64 and np.array_equal(g, w), ring.label
+
+
+def test_minimal_generators_match_regeneration(ideal_test_rings):
+    for ring in ideal_test_rings:
+        for ideal in enumerate_ideals(ring, cap=ring.order):
+            want = _minimal_generators_reference(ring, ideal.members)
+            assert minimal_generators(ideal) == want, (ring.label, ideal)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_ideal_generated_matches_additive_closure(ideal_test_rings, data):
+    ring = data.draw(st.sampled_from(ideal_test_rings))
+    gens = data.draw(st.lists(st.integers(0, ring.order - 1), max_size=4))
+    got = ideal_generated(ring, gens).members
+    want = _closure_reference(ring, gens)
+    assert got.dtype == np.int64 and np.array_equal(got, want), (ring.label, gens)
 
 
 def test_is_prime_ideal_examples():

@@ -126,6 +126,17 @@ def test_tables_are_immutable():
         z4.add[0, 0] = 1
 
 
+def test_tables_in_table_dtype_are_frozen_not_copied():
+    idx = np.arange(4)
+    table = (np.add.outer(idx, idx) % 4).astype(np.int16)
+    ring = RingTable(table, table, zero=0, one=1, label="Z4", check=False)
+    assert np.shares_memory(table, ring.add) and not table.flags.writeable
+    wide = np.add.outer(idx, idx) % 4  # int64: converted into a fresh array
+    ring = RingTable(wide, wide, zero=0, one=1, label="Z4", check=False)
+    assert not np.shares_memory(wide, ring.add) and wide.flags.writeable
+    assert ring.add.dtype == np.int16 and not ring.add.flags.writeable
+
+
 def test_validate_constructed_rings_are_clean():
     for ring in (make_zmod(6), make_zmod(9), direct_product(make_zmod(2), make_zmod(4))):
         assert validate_ring_axioms(ring).ok
