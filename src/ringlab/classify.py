@@ -10,7 +10,7 @@ Four properties of a finite commutative ring R:
   the whole ring is the zero ring and counts as vacuously nil-clean.
 
 Each property gets a definitional brute-force decider (scan elements,
-or scan quotients over the whole ideal lattice) and a structural
+or scan the quotients by the minimal nonzero ideals) and a structural
 criterion in terms of radicals and residue fields.  The two must agree
 on every ring; a mismatch raises :class:`DisagreementError`.
 
@@ -29,13 +29,15 @@ import numpy as np
 
 from .group_algebra import AbelianGroup
 from .ideals import (
-    DEFAULT_IDEAL_CAP,
     IdealSet,
+    _jacobson_members,
+    _maximal_members,
+    _nilradical_members,
     _quotient_ring,
     enumerate_ideals,
     is_field,
     jacobson_radical,
-    maximal_ideals,
+    minimal_ideals,
     nilradical,
 )
 from .rings import (
@@ -89,27 +91,28 @@ def is_weakly_nil_clean_definitional(ring: RingTable) -> ElementVerdict:
     return _element_verdict(ring, allow_difference=True)
 
 
-def _quotient_verdict(ring: RingTable, *, weak: bool, cap: int) -> QuotientVerdict:
+def _quotient_verdict(ring: RingTable, *, weak: bool) -> QuotientVerdict:
+    """Scan R/M for the minimal nonzero M only: every R/I (I nonzero) is
+    an image of such an R/M, and the earliest failing ideal in lattice
+    order is minimal, so verdict and witness match a full-lattice scan."""
     check = is_weakly_nil_clean_definitional if weak else is_nil_clean_definitional
-    for ideal in enumerate_ideals(ring, cap=cap):
-        if ideal.is_zero:
-            continue  # proper image means quotient by a nonzero ideal
+    for ideal in minimal_ideals(ring):
         if ideal.is_whole:
-            continue  # zero ring, vacuously fine
+            continue  # a field: the zero ring, vacuously fine
         quot, _ = _quotient_ring(ring, ideal)
         if not check(quot).ok:
             return QuotientVerdict(False, ideal)
     return QuotientVerdict(True, None)
 
 
-def is_nil_neat_definitional(ring: RingTable, *, cap: int = DEFAULT_IDEAL_CAP) -> QuotientVerdict:
+def is_nil_neat_definitional(ring: RingTable) -> QuotientVerdict:
     """Every quotient by a nonzero proper ideal must be nil-clean."""
-    return _quotient_verdict(ring, weak=False, cap=cap)
+    return _quotient_verdict(ring, weak=False)
 
 
-def is_weakly_nil_neat_definitional(ring: RingTable, *, cap: int = DEFAULT_IDEAL_CAP) -> QuotientVerdict:
+def is_weakly_nil_neat_definitional(ring: RingTable) -> QuotientVerdict:
     """Every quotient by a nonzero proper ideal must be weakly nil-clean."""
-    return _quotient_verdict(ring, weak=True, cap=cap)
+    return _quotient_verdict(ring, weak=True)
 
 
 @dataclass(frozen=True)
@@ -186,7 +189,7 @@ def _shape_mod_jacobson(ring: RingTable) -> StructureTag:
 
 def _residue_orders(ring: RingTable) -> list[int]:
     """Orders of the residue fields R/M, ascending."""
-    return sorted(ring.order // len(m) for m in maximal_ideals(ring))
+    return sorted(ring.order // m.size for m in _maximal_members(ring))
 
 
 def is_nil_clean_criterion(ring: RingTable) -> bool:
@@ -226,8 +229,7 @@ def weakly_nil_clean_criterion(ring: RingTable) -> WeaklyNilCleanCriterion:
 
     by_nilradical = _shape_mod_nilradical(ring).in_weakly_nil_clean_shape
 
-    nil_set = set(nilradical(ring).key)
-    jac_is_nil = all(j in nil_set for j in jacobson_radical(ring).key)
+    jac_is_nil = bool(np.isin(_jacobson_members(ring), _nilradical_members(ring)).all())
     by_jacobson = jac_is_nil and _shape_mod_jacobson(ring).in_weakly_nil_clean_shape
 
     if not (by_residues == by_nilradical == by_jacobson):
@@ -254,7 +256,7 @@ def weakly_nil_neat_criterion(ring: RingTable) -> bool:
     """
     if is_field(ring):
         return True
-    if len(jacobson_radical(ring)) > 1:
+    if _jacobson_members(ring).size > 1:
         return _shape_mod_jacobson(ring).in_weakly_nil_clean_shape
     residue_orders = _residue_orders(ring)
     if not all(s in (2, 3) for s in residue_orders):
@@ -302,13 +304,11 @@ def weakly_nil_clean_group_ring_predicate(ring: RingTable, group: AbelianGroup) 
     return PredicateResult(bool(matched), matched[0] if matched else None)
 
 
-def nil_neat_group_ring_predicate(
-    ring: RingTable, group: AbelianGroup, *, ideal_cap: int = DEFAULT_IDEAL_CAP
-) -> bool:
+def nil_neat_group_ring_predicate(ring: RingTable, group: AbelianGroup) -> bool:
     """RG nil-neat iff G trivial and R nil-neat, or G a non-trivial
     2-group and R nil-clean."""
     if group.is_trivial():
-        return is_nil_neat_definitional(ring, cap=ideal_cap).ok
+        return is_nil_neat_criterion(ring)
     return group.is_p_group(2) and is_nil_clean_criterion(ring)
 
 
@@ -479,12 +479,7 @@ class ClassificationReport:
         }
 
 
-def classify_ring(
-    ring: RingTable,
-    *,
-    method: str = "both",
-    ideal_cap: int = DEFAULT_IDEAL_CAP,
-) -> ClassificationReport:
+def classify_ring(ring: RingTable, *, method: str = "both") -> ClassificationReport:
     """Run the requested decision methods and assemble a report.
 
     With ``method="both"`` the definitional and criterion answers are
@@ -495,10 +490,6 @@ def classify_ring(
         raise ValueError(f"unknown method {method!r}")
     run_def = method in ("definitional", "both")
     run_crit = method in ("criterion", "both")
-    if run_def and ring.order > ideal_cap:
-        raise CapExceeded(
-            f"definitional classification needs order <= {ideal_cap}, got {ring.order}"
-        )
 
     verdicts: dict[str, PropertyVerdict] = {}
     definitional = {}
@@ -506,8 +497,8 @@ def classify_ring(
         definitional = {
             "nil_clean": is_nil_clean_definitional(ring),
             "weakly_nil_clean": is_weakly_nil_clean_definitional(ring),
-            "nil_neat": is_nil_neat_definitional(ring, cap=ideal_cap),
-            "weakly_nil_neat": is_weakly_nil_neat_definitional(ring, cap=ideal_cap),
+            "nil_neat": is_nil_neat_definitional(ring),
+            "weakly_nil_neat": is_weakly_nil_neat_definitional(ring),
         }
     criterion = {}
     if run_crit:

@@ -55,7 +55,7 @@ def _build_parser() -> _ArgumentParser:
     parser.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP,
                         help="largest constructible ring order")
     parser.add_argument("--ideal-cap", type=int, default=DEFAULT_IDEAL_CAP,
-                        help="largest ring order for full ideal enumeration")
+                        help="largest ring order whose ideal lattice the ideals command lists")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_classify = sub.add_parser("classify", help="decide the four nil-clean style properties")
@@ -94,17 +94,8 @@ def _cmd_classify(args) -> int:
     expr = _parse(args.expr)
     ring = evaluate(expr, order_cap=args.order_cap)
     method = {"brute": "definitional"}.get(args.method, args.method)
-    capped = ring.order > args.ideal_cap
-    if capped and method != "criterion":
-        if method == "definitional":
-            raise CapExceeded(
-                f"definitional method needs order <= {args.ideal_cap}, got {ring.order}"
-            )
-        method = "criterion"
-    report = classify.classify_ring(ring, method=method, ideal_cap=args.ideal_cap)
+    report = classify.classify_ring(ring, method=method)
     payload = report.to_dict()
-    if capped and args.method == "both":
-        payload["note"] = "order above brute-force cap; criterion only"
     group_ring_info = None
     if isinstance(expr, GroupRingExpr):
         base = evaluate(expr.base, order_cap=args.order_cap)
@@ -116,6 +107,8 @@ def _cmd_classify(args) -> int:
             "theorem_condition": theorem.condition,
             "lemma_predicate": lemma.holds,
             "lemma_condition": lemma.condition,
+            "nil_clean_predicate": classify.nil_clean_group_ring_predicate(base, group),
+            "nil_neat_predicate": classify.nil_neat_group_ring_predicate(base, group),
         }
         if theorem.condition == 4:
             group_ring_info["note"] = "isomorphic to Z3 x Z3"
@@ -124,8 +117,6 @@ def _cmd_classify(args) -> int:
         print(json.dumps(payload, sort_keys=True))
     else:
         print(f"ring: {report.label}  (order {report.order})")
-        if "note" in payload:
-            print(f"  note: {payload['note']}")
         for name, verdict in report.verdicts().items():
             line = f"  {name + ':':<18} {str(verdict.value):<5} [{verdict.method}]"
             if verdict.witness is not None:
@@ -136,7 +127,8 @@ def _cmd_classify(args) -> int:
                 f"  group-ring predicates: weakly_nil_neat={group_ring_info['theorem_predicate']}"
                 f" (condition {group_ring_info['theorem_condition']}),"
                 f" weakly_nil_clean={group_ring_info['lemma_predicate']}"
-                f" (condition {group_ring_info['lemma_condition']})"
+                f" (condition {group_ring_info['lemma_condition']}),"
+                f" nil_neat={group_ring_info['nil_neat_predicate']}, nil_clean={group_ring_info['nil_clean_predicate']}"
             )
             if "note" in group_ring_info:
                 print(f"  note: {group_ring_info['note']}")
@@ -205,7 +197,6 @@ def _cmd_verify_theorem(args) -> int:
         max_product_order=args.max_product_order,
         max_group_order=args.max_group_order,
         max_groupring_order=args.max_groupring_order,
-        ideal_cap=args.ideal_cap,
         order_cap=args.order_cap,
         jobs=args.jobs,
     )

@@ -6,9 +6,10 @@ ones, built one summand at a time.  Maximal ideals are not read off
 the ideal lattice: each is grown greedily from a principal ideal by
 adding principal ideals while the sum stays proper (see
 :func:`maximal_ideals`), and the Jacobson radical is a literal
-intersection of those maximal ideals.
-The lattice, the maximal ideals and both radicals are memoized on the
-ring as member arrays (see :mod:`ringlab.rings`).  Everything is
+intersection of those maximal ideals.  Minimal ideals are principal
+and are read off the multiplication table, also without the lattice.
+The lattice, these ideals and both radicals are memoized on the ring
+as member arrays (see :mod:`ringlab.rings`).  Everything is
 deterministic; ideal lists are always sorted by size and
 then lexicographically by member list.
 """
@@ -277,6 +278,28 @@ def _maximal_members(ring: RingTable) -> tuple[np.ndarray, ...]:
         covered[members] = True
         covered[x] = True  # x is in Rx, unless the table is corrupted
         found.append(members)
+    found.sort(key=lambda m: (m.size, tuple(m)))
+    return tuple(map(_readonly, found))
+
+
+def minimal_ideals(ring: RingTable) -> list[IdealSet]:
+    """All minimal nonzero ideals, in canonical order; a field has only R."""
+    return [IdealSet(ring, m, validate=False) for m in _minimal_members(ring)]
+
+
+@_memo
+def _minimal_members(ring: RingTable) -> tuple[np.ndarray, ...]:
+    # a minimal ideal is some Rx.  Rx is R/Ann(x) as a group, and Ry inside Rx has
+    # Ann(y) containing Ann(x), so Rx is minimal iff |Ann(y)| = |Ann(x)| for all nonzero y in Rx
+    ann = np.count_nonzero(ring.mul == ring.zero, axis=1).astype(ring.mul.dtype)  # |Ann(x)|
+    rank = ann.copy()
+    rank[ring.zero] = 0  # so y = 0 never gives the largest |Ann(y)|
+    covered = np.zeros(ring.order, dtype=bool)
+    found = []
+    for x in np.flatnonzero(rank[ring.mul].max(axis=1) == ann):  # row x of mul is Rx
+        if not covered[x]:  # else x lies in a minimal ideal found, which is Rx
+            found.append(_principal(ring, x))
+            covered[found[-1]] = True
     found.sort(key=lambda m: (m.size, tuple(m)))
     return tuple(map(_readonly, found))
 

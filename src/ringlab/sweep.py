@@ -14,7 +14,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
 from . import __version__, classify
@@ -22,7 +22,6 @@ from .cache import VerdictCache
 from .classify import is_weakly_nil_clean_definitional, is_weakly_nil_neat_definitional
 from .expr import ProductExpr, RingExpr, ZmodExpr, canonical_label, evaluate
 from .group_algebra import AbelianGroup, _factorint, group_ring, make_group
-from .ideals import DEFAULT_IDEAL_CAP
 from .rings import DEFAULT_ORDER_CAP, CapExceeded
 
 
@@ -32,7 +31,6 @@ class SweepConfig:
     max_product_order: int = 12
     max_group_order: int = 4
     max_groupring_order: int = 1024
-    ideal_cap: int = DEFAULT_IDEAL_CAP
     order_cap: int = DEFAULT_ORDER_CAP
     jobs: int = 1
 
@@ -50,14 +48,7 @@ class SweepConfig:
             raise ValueError(f"jobs must be <= {cpus}, the number of CPUs")
 
     def to_dict(self) -> dict:
-        return {
-            "max_ring_order": self.max_ring_order,
-            "max_product_order": self.max_product_order,
-            "max_group_order": self.max_group_order,
-            "max_groupring_order": self.max_groupring_order,
-            "ideal_cap": self.ideal_cap,
-            "order_cap": self.order_cap,
-        }
+        return {k: v for k, v in asdict(self).items() if k != "jobs"}
 
 
 def ring_catalog(config: SweepConfig) -> list[RingExpr]:
@@ -125,7 +116,7 @@ def _evaluate_pair(args) -> dict:
         wnc_witness = cached["wnc"]["witness"]
     else:
         view = group_ring(ring, group, cap=config.max_groupring_order)
-        wnn = is_weakly_nil_neat_definitional(view.ring, cap=config.ideal_cap)
+        wnn = is_weakly_nil_neat_definitional(view.ring)
         wnc = is_weakly_nil_clean_definitional(view.ring)
         wnn_ok = wnn.ok
         wnn_witness = None if wnn.witness is None else [int(v) for v in wnn.witness.key]
@@ -183,7 +174,6 @@ def run_sweep(config: SweepConfig, *, cache: VerdictCache | None = None) -> Swee
     config_dict = config.to_dict()
     # |R| >= 2, so a group of order above log2(max_groupring_order) forms no pair
     groups = group_catalog(min(config.max_group_order, config.max_groupring_order.bit_length() - 1))
-    limit = min(config.ideal_cap, config.order_cap)
     for expr in ring_catalog(config):
         base_order = _expr_order(expr)
         for group in groups:
@@ -191,8 +181,8 @@ def run_sweep(config: SweepConfig, *, cache: VerdictCache | None = None) -> Swee
             if size > config.max_groupring_order:
                 continue
             key = f"GR({canonical_label(expr)}, {group.label})"
-            if size > limit:  # fail before any pair is built, not when the scan reaches it
-                raise CapExceeded(f"{key} of order {size} exceeds cap {limit}")
+            if size > config.order_cap:  # fail before any pair is built, not when the scan reaches it
+                raise CapExceeded(f"{key} of order {size} exceeds cap {config.order_cap}")
             cached = cache.get(key) if cache is not None else None
             tasks.append((key, (expr, group.factors, config_dict, cached)))
 

@@ -3,11 +3,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ringlab.classify
 import util
 from ringlab import (
     CapExceeded,
     classify_ring,
     direct_product,
+    enumerate_ideals,
+    evaluate,
     group_ring,
     is_nil_clean_criterion,
     is_nil_clean_definitional,
@@ -22,6 +25,7 @@ from ringlab import (
     nil_neat_group_ring_predicate,
     nilradical,
     jacobson_radical,
+    parse_ring_expr,
     quotient_ring,
     recognize_structure,
     ring_isomorphic,
@@ -182,6 +186,29 @@ def test_nil_neat_group_ring_predicate():
     assert not nil_neat_group_ring_predicate(_z(3), make_group([2]))
 
 
+def test_nil_neat_predicate_does_not_call_its_oracle(monkeypatch):
+    def refused(ring):
+        raise AssertionError("the predicate must not call the definitional decider")
+
+    monkeypatch.setattr(ringlab.classify, "is_nil_neat_definitional", refused)
+    trivial = make_group([])
+    assert nil_neat_group_ring_predicate(_z(3), trivial)
+    assert nil_neat_group_ring_predicate(_z(4), trivial)
+    assert not nil_neat_group_ring_predicate(_prod(3, 3), trivial)
+
+
+def test_nil_group_ring_predicates_match_definitional_on_sweep(sweep_group_rings):
+    nil_clean = nil_neat = 0
+    for view in sweep_group_rings:
+        nc = is_nil_clean_definitional(view.ring).ok
+        nn = is_nil_neat_definitional(view.ring).ok
+        assert nil_clean_group_ring_predicate(view.base, view.group) == nc, view.ring.label
+        assert nil_neat_group_ring_predicate(view.base, view.group) == nn, view.ring.label
+        nil_clean += nc
+        nil_neat += nn
+    assert (nil_clean, nil_neat) == (16, 19)
+
+
 def test_weakly_nil_neat_group_ring_predicate():
     assert weakly_nil_neat_group_ring_predicate(_z(3), make_group([2])) == (True, 4)
     assert weakly_nil_neat_group_ring_predicate(_z(9), make_group([3])) == (True, 3)
@@ -201,6 +228,33 @@ def test_ring_isomorphic_examples():
     assert ok6
     with pytest.raises(CapExceeded):
         ring_isomorphic(_z(2), _z(2), cap=1)
+
+
+def _quotient_verdict_by_lattice(ring, decide):
+    """Reference: scan the quotient by every nonzero proper ideal of
+    the full lattice, in lattice order."""
+    for ideal in enumerate_ideals(ring, cap=ring.order):
+        if ideal.is_zero or ideal.is_whole:
+            continue
+        if not decide(quotient_ring(ring, ideal)[0]).ok:
+            return False, ideal.key
+    return True, None
+
+
+def test_neat_deciders_match_full_lattice_scan(plain_ring_catalog, sweep_group_rings):
+    rings = list(plain_ring_catalog) + [view.ring for view in sweep_group_rings]
+    # in Z9 x Z3 the first minimal ideal, 0 x Z3, has a weakly nil-clean
+    # quotient and the second, 3Z9 x 0, does not
+    for label in ("Z2 x Z2 x Z2 x Z2 x Z2 x Z2", "Z9 x Z3"):
+        rings.append(evaluate(parse_ring_expr(label)))
+    for ring in rings:
+        for neat, clean in (
+            (is_nil_neat_definitional, is_nil_clean_definitional),
+            (is_weakly_nil_neat_definitional, is_weakly_nil_clean_definitional),
+        ):
+            verdict = neat(ring)
+            got = (verdict.ok, None if verdict.witness is None else verdict.witness.key)
+            assert got == _quotient_verdict_by_lattice(ring, clean), (ring.label, neat.__name__)
 
 
 def test_hierarchy_on_catalog():
@@ -238,11 +292,6 @@ def test_classify_ring_criterion_only():
     report = classify_ring(_z(6), method="criterion")
     assert all(v.method == "criterion" for v in report.verdicts().values())
     assert report.weakly_nil_clean.value
-
-
-def test_classify_ring_respects_cap():
-    with pytest.raises(CapExceeded):
-        classify_ring(_z(12), method="definitional", ideal_cap=10)
 
 
 @settings(max_examples=15)

@@ -51,18 +51,30 @@ def test_classify_text_output(capsys):
     assert "weakly_nil_clean" in out
 
 
-def test_classify_above_cap_uses_criterion(capsys):
-    code, out, _ = run_cli(capsys, "--ideal-cap", "8", "classify", "Z12", "--json")
-    assert code == EXIT_OK
-    payload = json.loads(out)
-    assert "criterion" in payload["note"]
-    assert all(v["method"] == "criterion" for v in payload["verdicts"].values())
-
-
-def test_classify_brute_above_cap_is_cap_error(capsys):
-    code, _, err = run_cli(capsys, "--ideal-cap", "8", "classify", "Z12", "--method", "brute")
+def test_ideal_cap_bounds_only_the_ideals_command(capsys):
+    for method, label in (("both", "both"), ("brute", "definitional")):
+        code, out, _ = run_cli(capsys, "--ideal-cap", "8", "classify", "Z12", "--method", method, "--json")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert "note" not in payload
+        assert all(v["method"] == label for v in payload["verdicts"].values())
+    code, _, err = run_cli(capsys, "--ideal-cap", "8", "ideals", "Z12")
     assert code == EXIT_CAP
     assert "cap" in err
+
+
+@pytest.mark.parametrize("expr, nil_clean, nil_neat", [("GR(Z2, C4)", True, True), ("GR(Z3, C2)", False, False)])
+def test_classify_group_ring_prints_nil_predicates(capsys, expr, nil_clean, nil_neat):
+    code, out, _ = run_cli(capsys, "classify", expr, "--json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    info = payload["group_ring"]
+    assert (info["nil_clean_predicate"], info["nil_neat_predicate"]) == (nil_clean, nil_neat)
+    assert payload["verdicts"]["nil_clean"]["value"] is nil_clean
+    assert payload["verdicts"]["nil_neat"]["value"] is nil_neat
+    code, out, _ = run_cli(capsys, "classify", expr)
+    assert code == EXIT_OK
+    assert f"nil_neat={nil_neat}, nil_clean={nil_clean}" in out
 
 
 def test_classify_parse_error_is_usage(capsys):
@@ -222,10 +234,11 @@ def test_verify_theorem_opens_out_before_the_sweep(tmp_path, capsys, monkeypatch
 
 
 def test_verify_theorem_checks_pair_orders_before_building(capsys, monkeypatch):
-    # GR(Z6, C4) has order 1296, above the default ideal cap 1024
+    # GR(Z6, C4) has order 1296, above the order cap 1024
     monkeypatch.setattr(ringlab.sweep, "_evaluate_pair", _refuse("_evaluate_pair"))
     code, _, err = run_cli(
         capsys,
+        "--order-cap", "1024",
         "verify-theorem",
         "--no-cache",
         "--max-ring-order", "6",

@@ -15,6 +15,7 @@ from ringlab import (
     jacobson_radical,
     make_zmod,
     maximal_ideals,
+    minimal_ideals,
     nilradical,
     parse_ring_expr,
     quotient_ring,
@@ -145,6 +146,16 @@ def test_enumerate_ideals_matches_pairwise_joins(ideal_test_rings):
         assert len(got) == len(want), ring.label
         for g, w in zip(got, want):
             assert g.dtype == np.int64 and np.array_equal(g, w), ring.label
+
+
+def test_minimal_ideals_match_lattice(ideal_test_rings):
+    for ring in ideal_test_rings:
+        lattice = [i for i in enumerate_ideals(ring, cap=ring.order) if not i.is_zero]
+        keys = [i.key for i in lattice]
+        want = [i.key for i in lattice if not any(set(j) < set(i.key) for j in keys)]
+        got = minimal_ideals(ring)
+        assert [m.key for m in got] == want, ring.label
+        assert all(m.members.dtype == np.int64 for m in got), ring.label
 
 
 def test_minimal_generators_match_regeneration(ideal_test_rings):
