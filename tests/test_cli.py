@@ -51,13 +51,28 @@ def test_classify_text_output(capsys):
     assert "weakly_nil_clean" in out
 
 
+def test_classify_above_cap_uses_criterion(capsys):
+    # above --ideal-cap the criterion is still checked against the definitional deciders
+    code, out, _ = run_cli(capsys, "--ideal-cap", "8", "classify", "Z12", "--json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert "note" not in payload
+    assert all(v["method"] == "both" for v in payload["verdicts"].values())
+
+
+def test_classify_brute_above_cap_is_cap_error(capsys):
+    # --ideal-cap no longer bounds the definitional deciders; the order cap does
+    code, out, _ = run_cli(capsys, "--ideal-cap", "8", "classify", "Z12", "--method", "brute", "--json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert "note" not in payload
+    assert all(v["method"] == "definitional" for v in payload["verdicts"].values())
+    code, _, err = run_cli(capsys, "--order-cap", "8", "classify", "Z12", "--method", "brute")
+    assert code == EXIT_CAP
+    assert "cap" in err
+
+
 def test_ideal_cap_bounds_only_the_ideals_command(capsys):
-    for method, label in (("both", "both"), ("brute", "definitional")):
-        code, out, _ = run_cli(capsys, "--ideal-cap", "8", "classify", "Z12", "--method", method, "--json")
-        assert code == EXIT_OK
-        payload = json.loads(out)
-        assert "note" not in payload
-        assert all(v["method"] == label for v in payload["verdicts"].values())
     code, _, err = run_cli(capsys, "--ideal-cap", "8", "ideals", "Z12")
     assert code == EXIT_CAP
     assert "cap" in err
