@@ -46,11 +46,11 @@ class VerdictCache:
     def _load(self) -> None:
         if not self.path.exists():
             return
-        for lineno, line in enumerate(self.path.read_text().splitlines(), start=1):
+        for lineno, line in enumerate(self.path.read_bytes().splitlines(), start=1):
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
+                record = json.loads(line.decode())
                 key = record["key"]
                 version = record["version"]
                 value = record["value"]
@@ -58,7 +58,7 @@ class VerdictCache:
                     raise TypeError("cache key is not a string")
                 if version == self.version and not is_sweep_verdict(value):
                     raise TypeError("cached value has the wrong shape")
-            except (json.JSONDecodeError, KeyError, TypeError):
+            except (ValueError, KeyError, TypeError):  # ValueError covers bad JSON and bad UTF-8
                 warnings.warn(f"skipping corrupt cache line {lineno} in {self.path}")
                 continue
             if version == self.version:

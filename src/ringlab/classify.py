@@ -9,10 +9,12 @@ Four properties of a finite commutative ring R:
   by a nonzero ideal) is nil-clean / weakly nil-clean.  The quotient by
   the whole ring is the zero ring and counts as vacuously nil-clean.
 
-Each property gets a definitional brute-force decider (scan elements,
-or scan the quotients by the minimal nonzero ideals) and a structural
-criterion in terms of radicals and residue fields.  The two must agree
-on every ring; a mismatch raises :class:`DisagreementError`.
+Each property gets a definitional brute-force decider and a structural
+criterion in terms of radicals and residue fields.  The deciders run in
+pairs: one element scan for both clean properties, one pass over the
+quotients by the minimal nonzero ideals for both neat ones.  The two
+methods must agree on every ring; a mismatch raises
+:class:`DisagreementError`.
 
 The group-ring predicates decide the same properties for RG directly
 from (R, G) without building RG, so sweeping them against the
@@ -62,73 +64,73 @@ class QuotientVerdict(NamedTuple):
     witness: Optional[IdealSet]  # earliest failing ideal in lattice order
 
 
-def _class_arrays(ring: RingTable) -> tuple[np.ndarray, np.ndarray]:
+@_memo
+def _clean_verdicts(ring: RingTable) -> tuple[ElementVerdict, ElementVerdict]:
+    """The (nil-clean, weakly nil-clean) verdicts: the least element
+    outside N + E, and outside (N + E) union (N - E)."""
     classes = element_classes(ring)
-    nil = np.fromiter(sorted(classes.nilpotents), dtype=np.int64)
-    idem = np.fromiter(sorted(classes.idempotents), dtype=np.int64)
-    return nil, idem
-
-
-def _element_verdict(ring: RingTable, *, allow_difference: bool) -> ElementVerdict:
-    nil, idem = _class_arrays(ring)
-    reach = np.unique(ring.add[np.ix_(nil, idem)])
-    if allow_difference:
-        neg_idem = ring.neg[idem]
-        reach = np.union1d(reach, np.unique(ring.add[np.ix_(nil, neg_idem)]))
-    missing = np.setdiff1d(np.arange(ring.order), reach, assume_unique=True)
-    if missing.size == 0:
-        return ElementVerdict(True, None)
-    return ElementVerdict(False, int(missing[0]))
+    nil = np.fromiter(classes.nilpotents, dtype=np.int64)
+    idem = np.fromiter(classes.idempotents, dtype=np.int64)
+    plus = np.unique(ring.add[np.ix_(nil, idem)])
+    minus = np.unique(ring.add[np.ix_(nil, ring.neg[idem])])
+    verdicts = []
+    for reach in (plus, np.union1d(plus, minus)):
+        missing = np.setdiff1d(np.arange(ring.order), reach, assume_unique=True)
+        witness = int(missing[0]) if missing.size else None
+        verdicts.append(ElementVerdict(witness is None, witness))
+    return tuple(verdicts)
 
 
 def is_nil_clean_definitional(ring: RingTable) -> ElementVerdict:
     """Scan for an element outside nilpotents + idempotents."""
-    return _element_verdict(ring, allow_difference=False)
+    return _clean_verdicts(ring)[0]
 
 
 def is_weakly_nil_clean_definitional(ring: RingTable) -> ElementVerdict:
     """Scan for an element outside (N + E) union (N - E)."""
-    return _element_verdict(ring, allow_difference=True)
+    return _clean_verdicts(ring)[1]
 
 
-def _quotient_verdict(ring: RingTable, *, weak: bool) -> QuotientVerdict:
-    """Scan R/M for the minimal nonzero M only: every R/I (I nonzero) is
-    an image of such an R/M, and the earliest failing ideal in lattice
-    order is minimal, so verdict and witness match a full-lattice scan."""
-    check = is_weakly_nil_clean_definitional if weak else is_nil_clean_definitional
+def _neat_verdicts(ring: RingTable) -> tuple[QuotientVerdict, QuotientVerdict]:
+    """The (nil-neat, weakly nil-neat) verdicts from R/M for the minimal M.
+
+    Every R/I (I nonzero) is an image of such an R/M, and the earliest
+    failing ideal in lattice order is minimal, so verdicts and witnesses
+    match a full-lattice scan.  The pass stops at the first R/M that is
+    not weakly nil-clean, which is not nil-clean either.
+    """
+    nil_neat = fine = QuotientVerdict(True, None)
     for ideal in minimal_ideals(ring):
         if ideal.is_whole:
             continue  # a field: the zero ring, vacuously fine
         quot, _ = _quotient_ring(ring, ideal)
-        if not check(quot).ok:
-            return QuotientVerdict(False, ideal)
-    return QuotientVerdict(True, None)
+        # through the public name, so a wrapper of it sees every quotient;
+        # this fills the memo the nil-clean check then reads
+        weak = is_weakly_nil_clean_definitional(quot)
+        if nil_neat.ok and not is_nil_clean_definitional(quot).ok:
+            nil_neat = QuotientVerdict(False, ideal)
+        if not weak.ok:
+            return nil_neat, QuotientVerdict(False, ideal)
+    return nil_neat, fine
 
 
 def is_nil_neat_definitional(ring: RingTable) -> QuotientVerdict:
     """Every quotient by a nonzero proper ideal must be nil-clean."""
-    return _quotient_verdict(ring, weak=False)
+    return _neat_verdicts(ring)[0]
 
 
 def is_weakly_nil_neat_definitional(ring: RingTable) -> QuotientVerdict:
     """Every quotient by a nonzero proper ideal must be weakly nil-clean."""
-    return _quotient_verdict(ring, weak=True)
+    return _neat_verdicts(ring)[1]
 
 
 @dataclass(frozen=True)
 class StructureTag:
-    """Shape of a ring relative to {boolean, Z3, boolean x Z3, field}.
+    """Shape of a ring relative to {boolean, Z3, boolean x Z3}."""
 
-    ``tag`` resolves overlaps (e.g. Z2 is boolean and a field) with the
-    fixed display priority Boolean < Z3 < BooleanTimesZ3 < Field <
-    Other.  Predicates must consume the raw booleans, never ``tag``.
-    """
-
-    tag: str
     is_boolean: bool
     is_z3: bool
     is_boolean_times_z3: bool
-    is_field: bool
     split_idempotent: Optional[int]
 
     @property
@@ -137,7 +139,7 @@ class StructureTag:
 
 
 def recognize_structure(ring: RingTable) -> StructureTag:
-    """Classify a ring as boolean / Z3 / boolean x Z3 / field / other.
+    """Classify a ring as boolean / Z3 / boolean x Z3.
 
     The boolean-times-Z3 search walks idempotents e not in {0, 1} in
     ascending index order and takes the first e with eR boolean (every
@@ -148,7 +150,6 @@ def recognize_structure(ring: RingTable) -> StructureTag:
     idempotents = sorted(element_classes(ring).idempotents)
     boolean = len(idempotents) == ring.order
     z3 = ring.order == 3
-    field = is_field(ring)
     split = None
     for e in idempotents:
         if e in (ring.zero, ring.one):
@@ -161,18 +162,7 @@ def recognize_structure(ring: RingTable) -> StructureTag:
         if f_part.size == 3:
             split = e
             break
-    b_times_z3 = split is not None
-    for tag, hit in (
-        ("Boolean", boolean),
-        ("Z3", z3),
-        ("BooleanTimesZ3", b_times_z3),
-        ("Field", field),
-    ):
-        if hit:
-            break
-    else:
-        tag = "Other"
-    return StructureTag(tag, boolean, z3, b_times_z3, field, split)
+    return StructureTag(boolean, z3, split is not None, split)
 
 
 @_memo
@@ -494,11 +484,13 @@ def classify_ring(ring: RingTable, *, method: str = "both") -> ClassificationRep
     verdicts: dict[str, PropertyVerdict] = {}
     definitional = {}
     if run_def:
+        nc, wnc = _clean_verdicts(ring)
+        nn, wnn = _neat_verdicts(ring)
         definitional = {
-            "nil_clean": is_nil_clean_definitional(ring),
-            "weakly_nil_clean": is_weakly_nil_clean_definitional(ring),
-            "nil_neat": is_nil_neat_definitional(ring),
-            "weakly_nil_neat": is_weakly_nil_neat_definitional(ring),
+            "nil_clean": nc,
+            "weakly_nil_clean": wnc,
+            "nil_neat": nn,
+            "weakly_nil_neat": wnn,
         }
     criterion = {}
     if run_crit:

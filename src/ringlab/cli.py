@@ -29,7 +29,7 @@ from .expr import (
     evaluate_group_ring,
     parse_ring_expr,
 )
-from .group_algebra import karpilovsky_radical, make_group
+from .group_algebra import karpilovsky_radical
 from .ideals import DEFAULT_IDEAL_CAP, enumerate_ideals, jacobson_radical, nilradical
 from .rings import DEFAULT_ORDER_CAP, CapExceeded, DisagreementError
 from .sweep import SweepConfig, run_sweep
@@ -90,16 +90,23 @@ def _parse(expr_text: str):
         raise UsageError(str(exc)) from exc
 
 
+def _evaluate(expr, order_cap: int):
+    """The ring ``expr`` denotes, and its group-ring view for ``GR(...)``."""
+    if isinstance(expr, GroupRingExpr):
+        view = evaluate_group_ring(expr, order_cap=order_cap)
+        return view.ring, view
+    return evaluate(expr, order_cap=order_cap), None
+
+
 def _cmd_classify(args) -> int:
     expr = _parse(args.expr)
-    ring = evaluate(expr, order_cap=args.order_cap)
+    ring, view = _evaluate(expr, args.order_cap)
     method = {"brute": "definitional"}.get(args.method, args.method)
     report = classify.classify_ring(ring, method=method)
     payload = report.to_dict()
     group_ring_info = None
-    if isinstance(expr, GroupRingExpr):
-        base = evaluate(expr.base, order_cap=args.order_cap)
-        group = make_group(expr.orders)
+    if view is not None:
+        base, group = view.base, view.group
         theorem = classify.weakly_nil_neat_group_ring_predicate(base, group)
         lemma = classify.weakly_nil_clean_group_ring_predicate(base, group)
         group_ring_info = {
@@ -137,12 +144,7 @@ def _cmd_classify(args) -> int:
 
 def _cmd_radical(args) -> int:
     expr = _parse(args.expr)
-    if isinstance(expr, GroupRingExpr):
-        view = evaluate_group_ring(expr, order_cap=args.order_cap)
-        ring = view.ring
-    else:
-        view = None
-        ring = evaluate(expr, order_cap=args.order_cap)
+    ring, view = _evaluate(expr, args.order_cap)
     payload = {"ring": canonical_label(expr)}
     nil = nilradical(ring)
     jac = jacobson_radical(ring)

@@ -11,8 +11,8 @@ Tables are numpy integer arrays made read-only after construction, so
 instances are immutable and safe to share between threads.
 
 Facts derived from the tables (element classes, the ideal lattice,
-minimal and maximal ideals, the radicals, the shapes of R/N and R/J)
-are memoized on the instance by the private :func:`_memo` decorator,
+minimal and maximal ideals, the radicals, the shapes of R/N and R/J,
+the nil-clean and weakly nil-clean verdicts) are memoized on the instance by the private :func:`_memo` decorator,
 so each is computed at most once per ring however many deciders ask
 for it.  A memo value is a frozenset, a read-only array, a tuple of
 these or a small frozen record, and never holds a reference back to

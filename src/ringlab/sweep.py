@@ -52,11 +52,14 @@ class SweepConfig:
 
 
 def ring_catalog(config: SweepConfig) -> list[RingExpr]:
-    """All Z_n up to the ring-order cap, then two-factor products Z_a x
-    Z_b (a <= b) up to the product-order cap."""
-    exprs: list[RingExpr] = [ZmodExpr(n) for n in range(2, config.max_ring_order + 1)]
-    for a in range(2, config.max_product_order // 2 + 1):
-        for b in range(a, config.max_product_order // a + 1):
+    """All Z_n, then two-factor products Z_a x Z_b (a <= b), up to the
+    ring- and product-order caps, each lowered to the group-ring cap:
+    |RG| >= |R|, so a larger ring forms no pair."""
+    max_ring = min(config.max_ring_order, config.max_groupring_order)
+    max_product = min(config.max_product_order, config.max_groupring_order)
+    exprs: list[RingExpr] = [ZmodExpr(n) for n in range(2, max_ring + 1)]
+    for a in range(2, max_product // 2 + 1):
+        for b in range(a, max_product // a + 1):
             exprs.append(ProductExpr(ZmodExpr(a), ZmodExpr(b)))
     return exprs
 

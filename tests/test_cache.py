@@ -41,6 +41,15 @@ def test_corrupt_middle_line_is_skipped(tmp_path):
     assert reloaded.get("b") == NO
 
 
+def test_undecodable_line_is_skipped(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    valid = json.dumps({"key": "a", "version": "v", "value": YES})
+    path.write_bytes(b"\xff{}\n" + valid.encode() + b"\n")
+    with pytest.warns(UserWarning, match="corrupt cache line 1 "):
+        reloaded = VerdictCache(path, version="v")
+    assert len(reloaded) == 1 and reloaded.get("a") == YES
+
+
 def test_missing_file_reads_empty(tmp_path):
     cache = VerdictCache(tmp_path / "absent.jsonl")
     assert cache.get("anything") is None

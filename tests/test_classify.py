@@ -12,6 +12,7 @@ from ringlab import (
     enumerate_ideals,
     evaluate,
     group_ring,
+    is_field,
     is_nil_clean_criterion,
     is_nil_clean_definitional,
     is_nil_neat_criterion,
@@ -100,13 +101,17 @@ def test_weakly_nil_clean_rings_are_weakly_nil_neat():
 
 
 def test_recognize_structure_examples():
-    assert recognize_structure(_prod(2, 2)).tag == "Boolean"
+    def shape(ring):
+        tag = recognize_structure(ring)
+        return tag.is_boolean, tag.is_z3, tag.is_boolean_times_z3
+
+    assert shape(_prod(2, 2)) == (True, False, False)
     tag6 = recognize_structure(_z(6))
-    assert tag6.tag == "BooleanTimesZ3"
+    assert shape(_z(6)) == (False, False, True)
     assert tag6.split_idempotent == 3
-    assert recognize_structure(_z(9)).tag == "Other"
-    assert recognize_structure(_z(3)).tag == "Z3"
-    assert recognize_structure(_z(2)).tag == "Boolean"  # display priority over Field
+    assert shape(_z(9)) == (False, False, False)
+    assert shape(_z(3)) == (False, True, False)
+    assert shape(_z(2)) == (True, False, False)
 
 
 def test_structure_evidence_reproduces_tag():
@@ -148,7 +153,7 @@ def test_weakly_nil_neat_criterion_examples():
         if view.ring.order // len(m) == 4
     )
     assert weakly_nil_neat_criterion(f4)
-    assert recognize_structure(f4).is_field
+    assert is_field(f4)
 
 
 def test_criteria_match_definitional_on_catalog():

@@ -349,6 +349,17 @@ def test_sweep_catalogs():
     assert [g.label for g in groups] == ["1", "C2", "C3", "C2 x C2", "C4"]
 
 
+def test_ring_catalog_is_bounded_by_the_group_ring_order():
+    # |RG| >= |R|, so a ring above the group-ring cap forms no pair and the
+    # catalog must not be built up to the requested ring orders
+    def catalog(max_order):
+        return ring_catalog(SweepConfig(
+            max_ring_order=max_order, max_product_order=max_order, max_groupring_order=16,
+        ))
+
+    assert catalog(100_000) == catalog(16)
+
+
 def test_sweep_parallel_matches_serial(monkeypatch):
     monkeypatch.setattr(ringlab.sweep.os, "cpu_count", lambda: 2)  # jobs=2 on any host
     serial = run_sweep(SweepConfig(max_ring_order=3, max_product_order=4, max_group_order=2, max_groupring_order=64))

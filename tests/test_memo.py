@@ -7,15 +7,17 @@ from ringlab import (
     direct_product,
     evaluate,
     group_ring,
+    is_weakly_nil_neat_definitional,
     jacobson_radical,
     karpilovsky_radical,
     make_group,
     make_zmod,
     maximal_ideals,
+    parse_ring_expr,
     weakly_nil_clean_group_ring_predicate,
     weakly_nil_neat_group_ring_predicate,
 )
-from ringlab import ideals
+from ringlab import classify, ideals
 from ringlab.sweep import SweepConfig, ring_catalog, run_sweep
 
 
@@ -49,6 +51,38 @@ def test_sweep_grows_maximal_ideals_once_per_base_ring(monkeypatch):
     report = run_sweep(config)
     assert report.all_agree and len(report.records) > len(ring_catalog(config))
     assert len(calls) == expected
+
+
+def _record_calls(monkeypatch, module, name) -> list:
+    """Make ``module.name`` record the first argument of every call."""
+    calls = []
+    original = getattr(module, name)
+
+    def recorded(first, *rest):
+        calls.append(first)
+        return original(first, *rest)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+def test_classify_ring_builds_each_minimal_quotient_once(monkeypatch):
+    # Z2^6: six minimal ideals, all with nil-clean quotients; Z9 x Z3: the
+    # scan stops at 3Z9 x 0, the second minimal ideal.  R/N and R/J for
+    # the criteria add two quotients to each.
+    calls = _record_calls(monkeypatch, classify, "_quotient_ring")
+    for label, expected in (("Z2 x Z2 x Z2 x Z2 x Z2 x Z2", 8), ("Z9 x Z3", 4)):
+        ring = evaluate(parse_ring_expr(label))
+        calls.clear()
+        classify_ring(ring)
+        assert len(calls) == expected, label
+
+
+def test_weakly_nil_neat_decides_each_minimal_quotient_through_the_public_decider(monkeypatch):
+    ring = evaluate(parse_ring_expr("Z2 x Z2 x Z2 x Z2 x Z2 x Z2"))
+    calls = _record_calls(monkeypatch, classify, "is_weakly_nil_clean_definitional")
+    assert is_weakly_nil_neat_definitional(ring).ok
+    assert [quot.order for quot in calls] == [32] * 6
 
 
 def test_memo_holds_no_reference_to_the_ring():
