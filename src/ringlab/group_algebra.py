@@ -6,8 +6,8 @@ exponent tuples enumerated lexicographically.  The group ring ``RG``
 is a :class:`~ringlab.rings.RingTable` whose element index is the
 mixed-radix encoding of the coefficient tuple (base ``|R|``, group
 element 0 least significant), so the copy of R embedded on the identity
-coefficient occupies indices ``0 .. |R|-1`` unchanged.  RG is built as
-a tower of cyclic extensions that lands on exactly this layout.
+coefficient occupies indices ``0 .. |R|-1`` unchanged.
+:func:`group_ring` builds RG's tables straight from those of R.
 """
 
 from __future__ import annotations
@@ -167,51 +167,43 @@ def _digits(count: int, base: int, width: int) -> np.ndarray:
     return ((np.arange(count, dtype=np.int64) // radix[:, None]) % base).astype(_table_dtype(base))
 
 
-def _cyclic_step(add: np.ndarray, mul: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """Addition and multiplication tables of S[C_d] from those of S.
-
-    The coefficient of x^i sits at radix |S|^i, and x^i x^j =
-    x^((i+j) mod d).  Rows are written in blocks of at most ``_BLOCK``
-    entries, directly in the final table dtype.
-    """
-    s = add.shape[0]
-    size = s**d
-    dt = _table_dtype(size)
-    radix = [dt.type(s**i) for i in range(d)]
-    digits = _digits(size, s, d)
-    out_add, out_mul = np.zeros((2, size, size), dtype=dt)
-    step = max(1, _BLOCK // size)
-    for r0 in range(0, size, step):
-        rows = digits[:, r0 : r0 + step, None]
-        for k in range(d):
-            out_add[r0 : r0 + step] += add[rows[k], digits[k]] * radix[k]
-            conv = mul[rows[0], digits[k]]
-            for i in range(1, d):
-                conv = add[conv, mul[rows[i], digits[(k - i) % d]]]
-            out_mul[r0 : r0 + step] += conv * radix[k]
-    return out_add, out_mul
-
-
 def group_ring(base: RingTable, group: AbelianGroup, *, cap: int = DEFAULT_ORDER_CAP) -> GroupRingView:
-    """Build RG as a tower of cyclic extensions.
+    """Build RG straight from the tables of R, whose zero must be index 0.
 
-    With G = H x C_d, where C_d is the last factor, R[G] = (R[C_d])[H].
-    Group element g = e + d*h (h its index in H, e its last exponent)
-    has coefficient radix |R|^g = |R|^e * (|R|^d)^h, so the index of
-    sum c_g g in RG equals that of sum_h (sum_e c_(e + d*h) x^e) h in
-    (R[C_d])[H].  Folding :func:`_cyclic_step` over the factors from
-    last to first therefore yields exactly the documented layout, and
-    multiplication costs d^2 gathers per row block of each step rather
-    than |G|^2 for the whole group.
+    A base ring with its zero elsewhere raises :class:`ValueError`.  With
+    n = |R|, addition works digit by digit: the table of the elements on
+    g_0 .. g_t is add_R[u_t, v_t] n^t + (the table on g_0 .. g_(t-1)).
+    Multiplication is additive in its second argument: u * (c g_t) has
+    index sum_h mul_R[u_h, c] n^pos(g_h g_t), and for v < n^t, u * (c n^t
+    + v) = u * (c g_t) + u * v.  So the columns, filled in increasing
+    order in row blocks of ``_BLOCK`` entries, cost one gather into RG's
+    own ``add`` per entry.
     """
     n = base.order
     m = group.order
     size = group_ring_order(n, m, cap=cap)
-    add, mul = base.add, base.mul
-    for d in reversed(group.factors):
-        add, mul = _cyclic_step(add, mul, d)
+    if base.zero != 0:
+        raise ValueError(f"group ring over {base.label}: its zero must be index 0, not {base.zero}")
+    dt = _table_dtype(size)
+    small = add = base.add.astype(dt)
+    for t in range(1, m):
+        add = (small[:, None, :, None] * dt.type(n**t) + add[None, :, None, :]).reshape(n ** (t + 1), -1)
+    digits = _digits(size, n, m)
+    radix = n ** np.arange(m, dtype=np.int64)
+    elements = group.elements()
+    index = {e: i for i, e in enumerate(elements)}
+    mul = np.zeros((size, size), dtype=dt)
+    for t, et in enumerate(elements):
+        pos = [index[tuple((a + b) % d for a, b, d in zip(eh, et, group.factors))] for eh in elements]
+        lo = n**t
+        step = max(1, _BLOCK // lo)
+        for c in range(1, n):
+            col = (base.mul[digits, c] * radix[pos, None]).sum(axis=0)
+            for r0 in range(0, size, step):
+                rows = slice(r0, r0 + step)
+                mul[rows, c * lo : (c + 1) * lo] = add[col[rows, None], mul[rows, :lo]]
     ring = RingTable(add, mul, zero=0, one=int(base.one), label=f"GR({base.label}, {group.label})")
-    return GroupRingView(ring, base, group, _digits(size, n, m).T)
+    return GroupRingView(ring, base, group, digits.T)
 
 
 def augmentation(view: GroupRingView) -> RingHom:

@@ -373,6 +373,12 @@ def test_sweep_parallel_matches_serial(monkeypatch):
     assert strip(serial.records) == strip(parallel.records)
 
 
+def test_python_dash_m_ringlab_runs_the_cli():
+    done = util.run_python("-m", "ringlab", "--version", timeout=30)
+    assert done.returncode == EXIT_OK
+    assert done.stdout.strip() == f"ringlab {__version__}"
+
+
 def test_usage_error_for_unknown_command(capsys):
     code, _, err = run_cli(capsys, "frobnicate")
     assert code == EXIT_USAGE

@@ -94,6 +94,19 @@ def test_group_ring_cap():
         group_ring(make_zmod(10), make_group([2, 2]), cap=4096)
 
 
+def test_group_ring_rejects_base_zero_off_index_0():
+    # Z3 with the labels of 0 and 1 swapped: a valid ring whose zero is index 1
+    z3 = make_zmod(3)
+    swap = np.array([1, 0, 2])
+    inv = np.argsort(swap)
+    relabelled = RingTable(
+        swap[z3.add[inv[:, None], inv]], swap[z3.mul[inv[:, None], inv]], zero=1, one=0, label="Z3'"
+    )
+    assert validate_ring_axioms(relabelled).ok
+    with pytest.raises(ValueError, match="Z3'"):
+        group_ring(relabelled, make_group([2]))
+
+
 def test_embeddings_respect_operations():
     base = make_zmod(4)
     group = make_group([2, 2])
@@ -178,8 +191,9 @@ def test_iterated_group_ring_coherence():
 
 
 def _reference_group_ring(base, group):
-    """RG by convolution over all of G, |G|^2 gathers: the construction
-    that the cyclic tower of :func:`group_ring` replaced."""
+    """RG by convolution over all of G, |G|^2 gathers: the first
+    construction of :func:`group_ring`, kept as an oracle that shares no
+    code with its column-by-column build."""
     n, m = base.order, group.order
     elements = group.elements()
     index = {e: i for i, e in enumerate(elements)}
@@ -200,7 +214,9 @@ def _reference_group_ring(base, group):
 
 def test_group_ring_matches_full_convolution(sweep_group_rings):
     views = list(sweep_group_rings)
-    views += [group_ring(make_zmod(2), make_group(f)) for f in ([2, 2, 2], [2, 4], [3, 3], [6])]
+    views += [group_ring(make_zmod(2), make_group(f)) for f in ([2, 2, 2], [2, 4], [3, 3], [6], [7])]
+    z2z2 = direct_product(make_zmod(2), make_zmod(2))
+    views += [group_ring(base, make_group([5])) for base in (make_zmod(3), z2z2)]
     for view in views:
         ring, coeff = _reference_group_ring(view.base, view.group)
         for got, want in (
