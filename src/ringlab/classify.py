@@ -32,13 +32,11 @@ import numpy as np
 from .group_algebra import AbelianGroup
 from .ideals import (
     IdealSet,
-    _jacobson_members,
-    _maximal_members,
-    _nilradical_members,
     _quotient_ring,
     enumerate_ideals,
     is_field,
     jacobson_radical,
+    maximal_ideals,
     minimal_ideals,
     nilradical,
 )
@@ -91,6 +89,7 @@ def is_weakly_nil_clean_definitional(ring: RingTable) -> ElementVerdict:
     return _clean_verdicts(ring)[1]
 
 
+@_memo
 def _neat_verdicts(ring: RingTable) -> tuple[QuotientVerdict, QuotientVerdict]:
     """The (nil-neat, weakly nil-neat) verdicts from R/M for the minimal M.
 
@@ -179,7 +178,7 @@ def _shape_mod_jacobson(ring: RingTable) -> StructureTag:
 
 def _residue_orders(ring: RingTable) -> list[int]:
     """Orders of the residue fields R/M, ascending."""
-    return sorted(ring.order // m.size for m in _maximal_members(ring))
+    return sorted(ring.order // len(m) for m in maximal_ideals(ring))
 
 
 def is_nil_clean_criterion(ring: RingTable) -> bool:
@@ -219,7 +218,7 @@ def weakly_nil_clean_criterion(ring: RingTable) -> WeaklyNilCleanCriterion:
 
     by_nilradical = _shape_mod_nilradical(ring).in_weakly_nil_clean_shape
 
-    jac_is_nil = bool(np.isin(_jacobson_members(ring), _nilradical_members(ring)).all())
+    jac_is_nil = bool(np.isin(jacobson_radical(ring).members, nilradical(ring).members).all())
     by_jacobson = jac_is_nil and _shape_mod_jacobson(ring).in_weakly_nil_clean_shape
 
     if not (by_residues == by_nilradical == by_jacobson):
@@ -246,7 +245,7 @@ def weakly_nil_neat_criterion(ring: RingTable) -> bool:
     """
     if is_field(ring):
         return True
-    if _jacobson_members(ring).size > 1:
+    if not jacobson_radical(ring).is_zero:
         return _shape_mod_jacobson(ring).in_weakly_nil_clean_shape
     residue_orders = _residue_orders(ring)
     if not all(s in (2, 3) for s in residue_orders):
@@ -421,6 +420,16 @@ def ring_isomorphic(
     return True, RingHom(left, right, found)
 
 
+def encode_witness(witness):
+    """A verdict witness as JSON: an ideal's member list, an element
+    index, or None."""
+    if witness is None:
+        return None
+    if isinstance(witness, IdealSet):
+        return [int(v) for v in witness.key]
+    return int(witness)
+
+
 @dataclass
 class PropertyVerdict:
     value: bool
@@ -428,11 +437,7 @@ class PropertyVerdict:
     witness: Optional[object] = None  # element index or IdealSet for negatives
 
     def witness_json(self):
-        if self.witness is None:
-            return None
-        if isinstance(self.witness, IdealSet):
-            return [int(v) for v in self.witness.key]
-        return int(self.witness)
+        return encode_witness(self.witness)
 
 
 @dataclass

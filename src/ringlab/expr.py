@@ -59,6 +59,11 @@ class GroupRingExpr:
 
 RingExpr = Union[ZmodExpr, ProductExpr, QuotientExpr, GroupRingExpr]
 
+#: Deepest expression tree accepted, counting a ``Zn`` leaf as depth 1
+#: and each product, quotient suffix or ``GR(...)`` as one more level;
+#: parsing, printing and evaluating all recurse along the tree.
+MAX_EXPR_DEPTH = 100
+
 _TOKEN = re.compile(r"GR|Z|C|x|\d+|[(),/]|\s+")
 
 
@@ -78,10 +83,17 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Recursive descent; each ``parse_*`` returns a node and its depth."""
+
     def __init__(self, tokens: list[tuple[str, str, int]], length: int):
         self.tokens = tokens
         self.i = 0
         self.length = length
+        self.open_groups = 0  # GR( entered and not yet closed
+
+    def check_depth(self, depth: int, pos: int) -> None:
+        if depth > MAX_EXPR_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_EXPR_DEPTH} levels", pos)
 
     def peek(self) -> str | None:
         return self.tokens[self.i][0] if self.i < len(self.tokens) else None
@@ -100,9 +112,11 @@ class _Parser:
     def parse_int(self) -> int:
         return int(self.expect("INT"))
 
-    def parse_ring(self) -> RingExpr:
-        node = self.parse_product()
+    def parse_ring(self) -> tuple[RingExpr, int]:
+        node, depth = self.parse_product()
         while self.peek() == "/":
+            depth += 1
+            self.check_depth(depth, self.pos())
             self.expect("/")
             self.expect("(")
             gens = [self.parse_int()]
@@ -111,28 +125,36 @@ class _Parser:
                 gens.append(self.parse_int())
             self.expect(")")
             node = QuotientExpr(node, tuple(gens))
-        return node
+        return node, depth
 
-    def parse_product(self) -> RingExpr:
-        node = self.parse_atom()
+    def parse_product(self) -> tuple[RingExpr, int]:
+        node, depth = self.parse_atom()
         while self.peek() == "x":
+            pos = self.pos()
             self.expect("x")
-            node = ProductExpr(node, self.parse_atom())
-        return node
+            right, right_depth = self.parse_atom()
+            node, depth = ProductExpr(node, right), 1 + max(depth, right_depth)
+            self.check_depth(depth, pos)
+        return node, depth
 
-    def parse_atom(self) -> RingExpr:
+    def parse_atom(self) -> tuple[RingExpr, int]:
         kind = self.peek()
         if kind == "Z":
             self.expect("Z")
-            return ZmodExpr(self.parse_int())
+            return ZmodExpr(self.parse_int()), 1
         if kind == "GR":
+            # the leaf inside k open GR( levels sits at depth k + 1 at least;
+            # checked on the way down, so the parser's own recursion is bounded
+            self.open_groups += 1
+            self.check_depth(self.open_groups + 1, self.pos())
             self.expect("GR")
             self.expect("(")
-            base = self.parse_ring()
+            base, depth = self.parse_ring()
             self.expect(",")
             orders = self.parse_group()
             self.expect(")")
-            return GroupRingExpr(base, orders)
+            self.open_groups -= 1
+            return GroupRingExpr(base, orders), depth + 1
         found = self.tokens[self.i][1] if self.i < len(self.tokens) else "end of input"
         raise ExprSyntaxError(f"expected a ring ('Z<n>' or 'GR(...)'), found {found!r}", self.pos())
 
@@ -164,7 +186,7 @@ def parse_ring_expr(text: str) -> RingExpr:
     if not text or text.isspace():
         raise ExprSyntaxError("empty expression", 0)
     parser = _Parser(_tokenize(text), len(text))
-    node = parser.parse_ring()
+    node, _ = parser.parse_ring()
     if parser.peek() is not None:
         raise ExprSyntaxError(f"trailing input {parser.tokens[parser.i][1]!r}", parser.pos())
     return node

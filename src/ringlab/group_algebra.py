@@ -35,14 +35,7 @@ def _factorint(n: int) -> dict[int, int]:
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    q = 2
-    while q * q <= p:
-        if p % q == 0:
-            return False
-        q += 1
-    return True
+    return _factorint(p) == {p: 1}
 
 
 class AbelianGroup:
@@ -224,14 +217,14 @@ def karpilovsky_radical(view: GroupRingView) -> IdealSet:
     """
     base, group = view.base, view.group
     j_base = jacobson_radical(base)
-    j_members = set(j_base.key)
+    in_j = set(j_base.key)
     gens: set[int] = set()
     n = base.order
     for j in j_base.key:
         for g in range(group.order):
             gens.add(j * n**g)
     for p in _factorint(group.order):
-        shifted = [r for r in range(n) if base.int_mul(p, r) in j_members]
+        shifted = [r for r in range(n) if base.int_mul(p, r) in in_j]
         torsion = group.p_torsion_indices(p)
         for r in shifted:
             neg_r = int(base.neg[r])

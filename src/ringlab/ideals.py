@@ -9,9 +9,9 @@ adding principal ideals while the sum stays proper (see
 intersection of those maximal ideals.  Minimal ideals are principal
 and are read off the multiplication table, also without the lattice.
 The lattice, these ideals and both radicals are memoized on the ring
-as member arrays (see :mod:`ringlab.rings`).  Everything is
-deterministic; ideal lists are always sorted by size and
-then lexicographically by member list.
+as the :class:`IdealSet` objects callers receive (see
+:mod:`ringlab.rings`).  Everything is deterministic; ideal tuples are
+always sorted by size and then lexicographically by member list.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .rings import (
     RingHom,
     RingTable,
     _memo,
-    _readonly,
     element_classes,
 )
 
@@ -35,9 +34,14 @@ DEFAULT_IDEAL_CAP = 1024
 
 
 class IdealSet:
-    """A subset of a ring's indices closed under + and ambient *."""
+    """A subset of a ring's indices closed under + and ambient *.
 
-    __slots__ = ("ring", "members")
+    It keeps its ring's order and label, not the ring, so a memoized
+    ideal, or a verdict naming one as its witness, keeps no ring alive.
+    Equal label and members make equal ideals.
+    """
+
+    __slots__ = ("order", "label", "members")
 
     def __init__(self, ring: RingTable, members, *, validate: bool = True):
         if isinstance(members, np.ndarray):
@@ -50,7 +54,8 @@ class IdealSet:
             raise ValueError("ideal member index out of range")
         if validate:
             _check_ideal(ring, arr)
-        self.ring = ring
+        self.order = ring.order
+        self.label = ring.label
         self.members = arr
         arr.setflags(write=False)
 
@@ -70,21 +75,21 @@ class IdealSet:
 
     @property
     def is_whole(self) -> bool:
-        return len(self) == self.ring.order
+        return len(self) == self.order
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, IdealSet)
-            and other.ring is self.ring
+            and other.label == self.label
             and np.array_equal(other.members, self.members)
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.ring), self.members.tobytes()))
+        return hash((self.label, self.members.tobytes()))
 
     def __repr__(self) -> str:
         inner = ",".join(map(str, self.key)) if len(self) <= 12 else f"{len(self)} elements"
-        return f"IdealSet({self.ring.label}, {{{inner}}})"
+        return f"IdealSet({self.label}, {{{inner}}})"
 
 
 def _check_ideal(ring: RingTable, members: np.ndarray) -> None:
@@ -124,9 +129,8 @@ def ideal_generated(ring: RingTable, gens) -> IdealSet:
     return IdealSet(ring, members)
 
 
-def minimal_generators(ideal: IdealSet) -> list[int]:
+def minimal_generators(ring: RingTable, ideal: IdealSet) -> list[int]:
     """Greedy small generating set, used for quotient labels."""
-    ring = ideal.ring
     if ideal.is_zero:
         return [ring.zero]
     gens: list[int] = []
@@ -141,7 +145,7 @@ def minimal_generators(ideal: IdealSet) -> list[int]:
     return gens
 
 
-def enumerate_ideals(ring: RingTable, *, cap: int = DEFAULT_IDEAL_CAP) -> list[IdealSet]:
+def enumerate_ideals(ring: RingTable, *, cap: int = DEFAULT_IDEAL_CAP) -> tuple[IdealSet, ...]:
     """The complete ideal lattice.
 
     Walks a queue that starts as the distinct principal ideals (R*0 is
@@ -153,11 +157,11 @@ def enumerate_ideals(ring: RingTable, *, cap: int = DEFAULT_IDEAL_CAP) -> list[I
     n = ring.order
     if n > cap:
         raise CapExceeded(f"ideal enumeration needs order <= {cap}, got {n}")
-    return [IdealSet(ring, m, validate=False) for m in _lattice_members(ring)]
+    return _lattice(ring)
 
 
 @_memo
-def _lattice_members(ring: RingTable) -> tuple[np.ndarray, ...]:
+def _lattice(ring: RingTable) -> tuple[IdealSet, ...]:
     n = ring.order
     known: dict[bytes, np.ndarray] = {}
     for x in range(n):
@@ -179,7 +183,7 @@ def _lattice_members(ring: RingTable) -> tuple[np.ndarray, ...]:
                 known[key] = joined
                 queue.append(joined)
     ordered = sorted(known.values(), key=lambda m: (m.size, tuple(m)))
-    return tuple(map(_readonly, ordered))
+    return tuple(IdealSet(ring, m, validate=False) for m in ordered)
 
 
 def _quotient_ring(ring: RingTable, ideal: IdealSet) -> tuple[RingTable, np.ndarray]:
@@ -191,7 +195,7 @@ def _quotient_ring(ring: RingTable, ideal: IdealSet) -> tuple[RingTable, np.ndar
     proj = np.searchsorted(class_reps, rep)
     q_add = proj[ring.add[np.ix_(class_reps, class_reps)]]
     q_mul = proj[ring.mul[np.ix_(class_reps, class_reps)]]
-    gens = minimal_generators(ideal)
+    gens = minimal_generators(ring, ideal)
     label = f"{ring.label}/({','.join(map(str, gens))})"
     quot = RingTable(
         q_add,
@@ -249,7 +253,8 @@ def _grow_maximal(ring: RingTable, x: int, candidates: np.ndarray) -> np.ndarray
     return np.flatnonzero(member)
 
 
-def maximal_ideals(ring: RingTable) -> list[IdealSet]:
+@_memo
+def maximal_ideals(ring: RingTable) -> tuple[IdealSet, ...]:
     """All maximal ideals, in canonical order, found by greedy growth.
 
     The lattice is never enumerated.  While some non-unit x lies in no
@@ -263,11 +268,6 @@ def maximal_ideals(ring: RingTable) -> list[IdealSet]:
     one growth per maximal ideal.  A field has the zero ideal as its
     only maximal ideal, grown from x = 0.
     """
-    return [IdealSet(ring, m, validate=False) for m in _maximal_members(ring)]
-
-
-@_memo
-def _maximal_members(ring: RingTable) -> tuple[np.ndarray, ...]:
     covered = np.zeros(ring.order, dtype=bool)
     covered[list(element_classes(ring).units)] = True
     candidates = np.flatnonzero(~covered)
@@ -279,16 +279,12 @@ def _maximal_members(ring: RingTable) -> tuple[np.ndarray, ...]:
         covered[x] = True  # x is in Rx, unless the table is corrupted
         found.append(members)
     found.sort(key=lambda m: (m.size, tuple(m)))
-    return tuple(map(_readonly, found))
-
-
-def minimal_ideals(ring: RingTable) -> list[IdealSet]:
-    """All minimal nonzero ideals, in canonical order; a field has only R."""
-    return [IdealSet(ring, m, validate=False) for m in _minimal_members(ring)]
+    return tuple(IdealSet(ring, m, validate=False) for m in found)
 
 
 @_memo
-def _minimal_members(ring: RingTable) -> tuple[np.ndarray, ...]:
+def minimal_ideals(ring: RingTable) -> tuple[IdealSet, ...]:
+    """All minimal nonzero ideals, in canonical order; a field has only R."""
     # a minimal ideal is some Rx.  Rx is R/Ann(x) as a group, and Ry inside Rx has
     # Ann(y) containing Ann(x), so Rx is minimal iff |Ann(y)| = |Ann(x)| for all nonzero y in Rx
     ann = np.count_nonzero(ring.mul == ring.zero, axis=1).astype(ring.mul.dtype)  # |Ann(x)|
@@ -301,12 +297,12 @@ def _minimal_members(ring: RingTable) -> tuple[np.ndarray, ...]:
             found.append(_principal(ring, x))
             covered[found[-1]] = True
     found.sort(key=lambda m: (m.size, tuple(m)))
-    return tuple(map(_readonly, found))
+    return tuple(IdealSet(ring, m, validate=False) for m in found)
 
 
 def is_prime_ideal(ring: RingTable, ideal: IdealSet) -> bool:
     """True iff a, b outside the ideal implies ab outside the ideal."""
-    if not isinstance(ideal, IdealSet) or ideal.ring is not ring:
+    if not isinstance(ideal, IdealSet) or (ideal.order, ideal.label) != (ring.order, ring.label):
         raise ValueError("expected an ideal of this ring")
     _check_ideal(ring, ideal.members)
     if ideal.is_whole:
@@ -316,27 +312,17 @@ def is_prime_ideal(ring: RingTable, ideal: IdealSet) -> bool:
     return not np.isin(prods, ideal.members).any()
 
 
+@_memo
 def nilradical(ring: RingTable) -> IdealSet:
     """The set of nilpotents, re-checked for ideal closure.
 
     Commutativity guarantees closure, so a failure here signals a
     corrupted table and raises ``ValueError``.
     """
-    return IdealSet(ring, _nilradical_members(ring), validate=False)
+    return IdealSet(ring, sorted(element_classes(ring).nilpotents))
 
 
 @_memo
-def _nilradical_members(ring: RingTable) -> np.ndarray:
-    nil = sorted(element_classes(ring).nilpotents)
-    return IdealSet(ring, nil, validate=True).members
-
-
 def jacobson_radical(ring: RingTable) -> IdealSet:
     """Intersection of all maximal ideals."""
-    return IdealSet(ring, _jacobson_members(ring), validate=False)
-
-
-@_memo
-def _jacobson_members(ring: RingTable) -> np.ndarray:
-    members = reduce(np.intersect1d, _maximal_members(ring))
-    return IdealSet(ring, members, validate=True).members
+    return IdealSet(ring, reduce(np.intersect1d, (m.members for m in maximal_ideals(ring))))

@@ -12,12 +12,12 @@ instances are immutable and safe to share between threads.
 
 Facts derived from the tables (element classes, the ideal lattice,
 minimal and maximal ideals, the radicals, the shapes of R/N and R/J,
-the nil-clean and weakly nil-clean verdicts) are memoized on the instance by the private :func:`_memo` decorator,
-so each is computed at most once per ring however many deciders ask
-for it.  A memo value is a frozenset, a read-only array, a tuple of
-these or a small frozen record, and never holds a reference back to
-the ring: callers rebuild objects such as ideals from it on every
-call, so the tables are freed as soon as the ring itself is.  Two
+the clean and neat verdicts) are memoized on the instance by the
+private :func:`_memo` decorator, so each is computed at most once per
+ring however many deciders ask for it.  A memo value is a frozenset,
+an ideal, a tuple of these or a small frozen record, and never holds a
+reference back to the ring (an ideal keeps only its ring's order and
+label), so the tables are freed as soon as the ring itself is.  Two
 threads may race to fill one entry; that only duplicates equal work.
 """
 

@@ -103,46 +103,44 @@ def _base_ring(expr: RingExpr, order_cap: int):
     return evaluate(expr, order_cap=order_cap)
 
 
-def _evaluate_pair(args) -> dict:
-    """Worker body: one (ring expr, group factors) pair to one record."""
-    expr, factors, config_dict, cached = args
+def _evaluate_pair(args) -> tuple[dict, dict]:
+    """Worker body: one (ring expr, group factors) pair to its record and
+    to its definitional verdicts in the cache's value shape (see
+    :func:`ringlab.cache.is_sweep_verdict`), taken from ``args`` when
+    cached and computed otherwise."""
+    expr, factors, config_dict, verdicts = args
     config = SweepConfig(**config_dict, jobs=1)
     started = time.perf_counter()
     ring = _base_ring(expr, config.order_cap)
     group = make_group(factors)
     size = ring.order**group.order
 
-    if cached is not None:
-        wnn_ok = cached["wnn"]["ok"]
-        wnn_witness = cached["wnn"]["witness"]
-        wnc_ok = cached["wnc"]["ok"]
-        wnc_witness = cached["wnc"]["witness"]
-    else:
+    if verdicts is None:
         view = group_ring(ring, group, cap=config.max_groupring_order)
-        wnn = is_weakly_nil_neat_definitional(view.ring)
-        wnc = is_weakly_nil_clean_definitional(view.ring)
-        wnn_ok = wnn.ok
-        wnn_witness = None if wnn.witness is None else [int(v) for v in wnn.witness.key]
-        wnc_ok = wnc.ok
-        wnc_witness = None if wnc.witness is None else int(wnc.witness)
+        neat = is_weakly_nil_neat_definitional(view.ring)
+        clean = is_weakly_nil_clean_definitional(view.ring)
+        verdicts = {
+            "wnn": {"ok": neat.ok, "witness": classify.encode_witness(neat.witness)},
+            "wnc": {"ok": clean.ok, "witness": classify.encode_witness(clean.witness)},
+        }
+    wnn, wnc = verdicts["wnn"], verdicts["wnc"]
 
     theorem = classify.weakly_nil_neat_group_ring_predicate(ring, group)
     lemma = classify.weakly_nil_clean_group_ring_predicate(ring, group)
-    return {
+    return verdicts, {
         "ring": ring.label,
         "group": group.label,
         "order": size,
-        "wnn_definitional": bool(wnn_ok),
-        "wnn_witness": wnn_witness,
+        "wnn_definitional": wnn["ok"],
+        "wnn_witness": wnn["witness"],
         "theorem_condition": theorem.condition,
         "theorem_predicate": bool(theorem.holds),
-        "agreement": bool(wnn_ok) == bool(theorem.holds),
-        "wnc_definitional": bool(wnc_ok),
-        "wnc_witness": wnc_witness,
+        "agreement": wnn["ok"] == bool(theorem.holds),
+        "wnc_definitional": wnc["ok"],
+        "wnc_witness": wnc["witness"],
         "lemma_condition": lemma.condition,
         "lemma_predicate": bool(lemma.holds),
-        "lemma_agreement": bool(wnc_ok) == bool(lemma.holds),
-        "from_cache": cached is not None,  # popped before reporting
+        "lemma_agreement": wnc["ok"] == bool(lemma.holds),
         "wall_ms": round((time.perf_counter() - started) * 1000.0, 3),
     }
 
@@ -192,21 +190,16 @@ def run_sweep(config: SweepConfig, *, cache: VerdictCache | None = None) -> Swee
     workers = min(config.jobs, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_evaluate_pair, (args for _, args in tasks)))
+            results = list(pool.map(_evaluate_pair, (args for _, args in tasks)))
     else:
-        records = [_evaluate_pair(args) for _, args in tasks]
+        results = [_evaluate_pair(args) for _, args in tasks]
         _base_ring.cache_clear()  # free the last base ring's tables
 
-    for (key, _), record in zip(tasks, records):
-        was_cached = record.pop("from_cache")
-        if cache is not None and not was_cached:
-            cache.put(
-                key,
-                {
-                    "wnn": {"ok": record["wnn_definitional"], "witness": record["wnn_witness"]},
-                    "wnc": {"ok": record["wnc_definitional"], "witness": record["wnc_witness"]},
-                },
-            )
+    records = []
+    for (key, args), (verdicts, record) in zip(tasks, results):
+        if cache is not None and args[3] is None:
+            cache.put(key, verdicts)
+        records.append(record)
 
     records.sort(key=lambda r: (r["order"], r["ring"], r["group"]))
     disagreements = [r for r in records if not (r["agreement"] and r["lemma_agreement"])]

@@ -98,6 +98,17 @@ def test_classify_parse_error_is_usage(capsys):
     assert "syntax error" in err
 
 
+@pytest.mark.parametrize(
+    "expr",
+    ["GR(" * 330 + "Z2" + ", 1)" * 330, " x ".join(["Z2"] * 1500), "Z4" + "/(0)" * 1500],
+    ids=["nested-group-rings", "long-product", "long-quotient-chain"],
+)
+def test_classify_too_deep_expression_is_usage_error(expr):
+    done = util.run_python("-c", "from ringlab.cli import run; run()", "classify", expr, timeout=60)
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr.startswith("usage error: ") and "Traceback" not in done.stderr
+
+
 def test_radical_z4(capsys):
     code, out, _ = run_cli(capsys, "radical", "Z4", "--json")
     assert code == EXIT_OK

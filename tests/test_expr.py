@@ -13,6 +13,7 @@ from ringlab import (
     evaluate,
     parse_ring_expr,
 )
+from ringlab.expr import MAX_EXPR_DEPTH
 
 
 def test_parse_examples():
@@ -58,6 +59,31 @@ def test_syntax_errors_carry_position():
         parse_ring_expr("GR(Z3, 2)")
     with pytest.raises(ExprSyntaxError):
         parse_ring_expr("Z3 Z3")
+
+
+def _nested_group_rings(levels: int) -> str:
+    return "GR(" * levels + "Z2" + ", 1)" * levels
+
+
+def test_expression_depth_is_bounded():
+    # each text is one level over the bound; the error points at the
+    # token that opens the extra level
+    too_deep = {
+        _nested_group_rings(MAX_EXPR_DEPTH): 3 * (MAX_EXPR_DEPTH - 1),
+        " x ".join(["Z2"] * (MAX_EXPR_DEPTH + 1)): 5 * MAX_EXPR_DEPTH - 2,
+        "Z4" + "/(0)" * MAX_EXPR_DEPTH: 2 + 4 * (MAX_EXPR_DEPTH - 1),
+    }
+    for text, position in too_deep.items():
+        with pytest.raises(ExprSyntaxError, match="deeper than") as excinfo:
+            parse_ring_expr(text)
+        assert excinfo.value.position == position, text[:20]
+
+
+def test_expressions_at_the_depth_bound_evaluate():
+    assert evaluate(parse_ring_expr(_nested_group_rings(MAX_EXPR_DEPTH - 1))).order == 2
+    assert evaluate(parse_ring_expr("Z4" + "/(0)" * (MAX_EXPR_DEPTH - 1))).order == 4
+    product = parse_ring_expr(" x ".join(["Z2"] * MAX_EXPR_DEPTH))
+    assert canonical_label(product).count("Z2") == MAX_EXPR_DEPTH
 
 
 def test_quotient_generator_out_of_range():

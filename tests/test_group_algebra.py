@@ -49,6 +49,9 @@ def test_is_p_group_and_trivial():
     trivial = make_group([])
     assert trivial.is_trivial()
     assert trivial.is_p_group(3)
+    for p in (-3, 0, 1, 4, 9):  # p < 2 would divide forever or by zero
+        with pytest.raises(ValueError):
+            trivial.is_p_group(p)
 
 
 def test_component_orders_multiply():

@@ -5,14 +5,18 @@ import sys
 from ringlab import (
     classify_ring,
     direct_product,
+    enumerate_ideals,
     evaluate,
     group_ring,
+    is_nil_neat_definitional,
     is_weakly_nil_neat_definitional,
     jacobson_radical,
     karpilovsky_radical,
     make_group,
     make_zmod,
     maximal_ideals,
+    minimal_ideals,
+    nilradical,
     parse_ring_expr,
     weakly_nil_clean_group_ring_predicate,
     weakly_nil_neat_group_ring_predicate,
@@ -85,13 +89,30 @@ def test_weakly_nil_neat_decides_each_minimal_quotient_through_the_public_decide
     assert [quot.order for quot in calls] == [32] * 6
 
 
+def test_neat_deciders_build_each_minimal_quotient_once(monkeypatch):
+    ring = evaluate(parse_ring_expr("Z2 x Z2 x Z2 x Z2 x Z2 x Z2"))
+    calls = _record_calls(monkeypatch, classify, "_quotient_ring")
+    assert is_nil_neat_definitional(ring).ok
+    assert is_weakly_nil_neat_definitional(ring).ok
+    assert len(calls) == len(minimal_ideals(ring)) == 6
+
+
+def test_radicals_are_memoized_as_ideals():
+    ring = make_zmod(12)
+    assert jacobson_radical(ring) is jacobson_radical(ring)
+    assert nilradical(ring) is nilradical(ring)
+    assert maximal_ideals(ring) is maximal_ideals(ring)
+
+
 def test_memo_holds_no_reference_to_the_ring():
     base = make_zmod(9)
     view = group_ring(base, make_group([3]))
     ring = view.ring
     before = sys.getrefcount(ring), sys.getrefcount(base)
-    classify_ring(ring)
-    classify_ring(base)
-    jacobson_radical(ring)
+    derived = (classify_ring, maximal_ideals, minimal_ideals, nilradical, jacobson_radical,
+               enumerate_ideals, is_nil_neat_definitional, is_weakly_nil_neat_definitional)
+    for fact in derived:
+        fact(ring)
+        fact(base)
     karpilovsky_radical(view)
     assert (sys.getrefcount(ring), sys.getrefcount(base)) == before
