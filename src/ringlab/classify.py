@@ -12,9 +12,9 @@ Four properties of a finite commutative ring R:
 Each property gets a definitional brute-force decider and a structural
 criterion in terms of radicals and residue fields.  The deciders run in
 pairs: one element scan for both clean properties, one pass over the
-quotients by the minimal nonzero ideals for both neat ones.  The two
-methods must agree on every ring; a mismatch raises
-:class:`DisagreementError`.
+quotients by the minimal nonzero ideals for both neat ones, and each
+answers with a :class:`Verdict`.  :func:`classify_ring` always runs
+both derivations and raises :class:`DisagreementError` on a mismatch.
 
 The group-ring predicates decide the same properties for RG directly
 from (R, G) without building RG, so sweeping them against the
@@ -52,45 +52,43 @@ from .rings import (
 )
 
 
-class ElementVerdict(NamedTuple):
-    ok: bool
-    witness: Optional[int]  # least element index with no decomposition
+class Verdict(NamedTuple):
+    """A decided property.  A negative verdict carries its witness: the
+    least element index with no decomposition, or the earliest failing
+    ideal in lattice order."""
 
-
-class QuotientVerdict(NamedTuple):
     ok: bool
-    witness: Optional[IdealSet]  # earliest failing ideal in lattice order
+    witness: int | IdealSet | None = None
 
 
 @_memo
-def _clean_verdicts(ring: RingTable) -> tuple[ElementVerdict, ElementVerdict]:
+def _clean_verdicts(ring: RingTable) -> tuple[Verdict, Verdict]:
     """The (nil-clean, weakly nil-clean) verdicts: the least element
     outside N + E, and outside (N + E) union (N - E)."""
     classes = element_classes(ring)
     nil = np.fromiter(classes.nilpotents, dtype=np.int64)
     idem = np.fromiter(classes.idempotents, dtype=np.int64)
-    plus = np.unique(ring.add[np.ix_(nil, idem)])
-    minus = np.unique(ring.add[np.ix_(nil, ring.neg[idem])])
+    covered = np.zeros(ring.order, dtype=bool)
     verdicts = []
-    for reach in (plus, np.union1d(plus, minus)):
-        missing = np.setdiff1d(np.arange(ring.order), reach, assume_unique=True)
-        witness = int(missing[0]) if missing.size else None
-        verdicts.append(ElementVerdict(witness is None, witness))
+    for summands in (idem, ring.neg[idem]):
+        covered[ring.add[np.ix_(nil, summands)]] = True
+        ok = bool(covered.all())
+        verdicts.append(Verdict(ok, None if ok else int(covered.argmin())))
     return tuple(verdicts)
 
 
-def is_nil_clean_definitional(ring: RingTable) -> ElementVerdict:
+def is_nil_clean_definitional(ring: RingTable) -> Verdict:
     """Scan for an element outside nilpotents + idempotents."""
     return _clean_verdicts(ring)[0]
 
 
-def is_weakly_nil_clean_definitional(ring: RingTable) -> ElementVerdict:
+def is_weakly_nil_clean_definitional(ring: RingTable) -> Verdict:
     """Scan for an element outside (N + E) union (N - E)."""
     return _clean_verdicts(ring)[1]
 
 
 @_memo
-def _neat_verdicts(ring: RingTable) -> tuple[QuotientVerdict, QuotientVerdict]:
+def _neat_verdicts(ring: RingTable) -> tuple[Verdict, Verdict]:
     """The (nil-neat, weakly nil-neat) verdicts from R/M for the minimal M.
 
     Every R/I (I nonzero) is an image of such an R/M, and the earliest
@@ -98,7 +96,7 @@ def _neat_verdicts(ring: RingTable) -> tuple[QuotientVerdict, QuotientVerdict]:
     match a full-lattice scan.  The pass stops at the first R/M that is
     not weakly nil-clean, which is not nil-clean either.
     """
-    nil_neat = fine = QuotientVerdict(True, None)
+    nil_neat = fine = Verdict(True)
     for ideal in minimal_ideals(ring):
         if ideal.is_whole:
             continue  # a field: the zero ring, vacuously fine
@@ -107,18 +105,18 @@ def _neat_verdicts(ring: RingTable) -> tuple[QuotientVerdict, QuotientVerdict]:
         # this fills the memo the nil-clean check then reads
         weak = is_weakly_nil_clean_definitional(quot)
         if nil_neat.ok and not is_nil_clean_definitional(quot).ok:
-            nil_neat = QuotientVerdict(False, ideal)
+            nil_neat = Verdict(False, ideal)
         if not weak.ok:
-            return nil_neat, QuotientVerdict(False, ideal)
+            return nil_neat, Verdict(False, ideal)
     return nil_neat, fine
 
 
-def is_nil_neat_definitional(ring: RingTable) -> QuotientVerdict:
+def is_nil_neat_definitional(ring: RingTable) -> Verdict:
     """Every quotient by a nonzero proper ideal must be nil-clean."""
     return _neat_verdicts(ring)[0]
 
 
-def is_weakly_nil_neat_definitional(ring: RingTable) -> QuotientVerdict:
+def is_weakly_nil_neat_definitional(ring: RingTable) -> Verdict:
     """Every quotient by a nonzero proper ideal must be weakly nil-clean."""
     return _neat_verdicts(ring)[1]
 
@@ -198,14 +196,7 @@ def is_nil_neat_criterion(ring: RingTable) -> bool:
     return is_field(ring) or _shape_mod_jacobson(ring).is_boolean
 
 
-class WeaklyNilCleanCriterion(NamedTuple):
-    verdict: bool
-    residue_fields_ok: bool      # all residue fields Z2, at most one Z3
-    mod_nilradical_ok: bool      # R/N boolean, Z3 or boolean x Z3
-    mod_jacobson_ok: bool        # J nil and same shape for R/J
-
-
-def weakly_nil_clean_criterion(ring: RingTable) -> WeaklyNilCleanCriterion:
+def weakly_nil_clean_criterion(ring: RingTable) -> bool:
     """Three independent structural tests, which must agree.
 
     Finite rings are zero-dimensional, so that hypothesis is free; the
@@ -213,11 +204,12 @@ def weakly_nil_clean_criterion(ring: RingTable) -> WeaklyNilCleanCriterion:
     the nilpotent scan, the maximal-ideal intersection) and a mismatch
     raises :class:`DisagreementError`.
     """
+    # all residue fields Z2, at most one Z3
     residue_orders = _residue_orders(ring)
     by_residues = all(s in (2, 3) for s in residue_orders) and residue_orders.count(3) <= 1
-
+    # R/N boolean, Z3 or boolean x Z3
     by_nilradical = _shape_mod_nilradical(ring).in_weakly_nil_clean_shape
-
+    # J nil and the same shape for R/J
     jac_is_nil = bool(np.isin(jacobson_radical(ring).members, nilradical(ring).members).all())
     by_jacobson = jac_is_nil and _shape_mod_jacobson(ring).in_weakly_nil_clean_shape
 
@@ -226,7 +218,7 @@ def weakly_nil_clean_criterion(ring: RingTable) -> WeaklyNilCleanCriterion:
             f"weakly-nil-clean sub-checks disagree on {ring.label}: "
             f"residues={by_residues} mod-N={by_nilradical} mod-J={by_jacobson}"
         )
-    return WeaklyNilCleanCriterion(by_residues, by_residues, by_nilradical, by_jacobson)
+    return by_residues
 
 
 def weakly_nil_neat_criterion(ring: RingTable) -> bool:
@@ -258,6 +250,17 @@ class PredicateResult(NamedTuple):
     condition: Optional[int]  # which arm of the classification matched
 
 
+def _exactly_one(conditions: dict[int, bool], ring: RingTable, group: AbelianGroup) -> PredicateResult:
+    """The arm that matched; the arms of a classification are disjoint,
+    so a second match raises :class:`DisagreementError`."""
+    matched = [k for k, hit in conditions.items() if hit]
+    if len(matched) > 1:
+        raise DisagreementError(
+            f"conditions {matched} matched simultaneously for ({ring.label}, {group.label})"
+        )
+    return PredicateResult(bool(matched), matched[0] if matched else None)
+
+
 def _three_is_nilpotent(ring: RingTable) -> bool:
     """Whether the element 3*1 of the ring is nilpotent."""
     three = ring.int_mul(3, ring.one)
@@ -278,19 +281,13 @@ def weakly_nil_clean_group_ring_predicate(ring: RingTable, group: AbelianGroup) 
     (3) R weakly nil-clean and G trivial.
     """
     nc = is_nil_clean_criterion(ring)
-    wnc = weakly_nil_clean_criterion(ring).verdict
+    wnc = weakly_nil_clean_criterion(ring)
     nontrivial = not group.is_trivial()
-    conditions = {
+    return _exactly_one({
         1: nc and nontrivial and group.is_p_group(2),
         2: wnc and _three_is_nilpotent(ring) and nontrivial and group.is_p_group(3),
         3: wnc and group.is_trivial(),
-    }
-    matched = [k for k, hit in conditions.items() if hit]
-    if len(matched) > 1:
-        raise DisagreementError(
-            f"conditions {matched} matched simultaneously for ({ring.label}, {group.label})"
-        )
-    return PredicateResult(bool(matched), matched[0] if matched else None)
+    }, ring, group)
 
 
 def nil_neat_group_ring_predicate(ring: RingTable, group: AbelianGroup) -> bool:
@@ -311,20 +308,14 @@ def weakly_nil_neat_group_ring_predicate(ring: RingTable, group: AbelianGroup) -
     (4) G cyclic of order 2 and R the ring of order 3.
     """
     nc = is_nil_clean_criterion(ring)
-    wnc = weakly_nil_clean_criterion(ring).verdict
+    wnc = weakly_nil_clean_criterion(ring)
     nontrivial = not group.is_trivial()
-    conditions = {
+    return _exactly_one({
         1: group.is_trivial() and weakly_nil_neat_criterion(ring),
         2: nontrivial and group.is_p_group(2) and nc,
         3: nontrivial and group.is_p_group(3) and wnc and _three_is_nilpotent(ring),
         4: group.order == 2 and ring.order == 3,
-    }
-    matched = [k for k, hit in conditions.items() if hit]
-    if len(matched) > 1:
-        raise DisagreementError(
-            f"conditions {matched} matched simultaneously for ({ring.label}, {group.label})"
-        )
-    return PredicateResult(bool(matched), matched[0] if matched else None)
+    }, ring, group)
 
 
 def _element_profiles(ring: RingTable) -> list[tuple[int, bool, bool, bool]]:
@@ -430,14 +421,7 @@ def encode_witness(witness):
     return int(witness)
 
 
-@dataclass
-class PropertyVerdict:
-    value: bool
-    method: str  # "definitional", "criterion" or "both"
-    witness: Optional[object] = None  # element index or IdealSet for negatives
-
-    def witness_json(self):
-        return encode_witness(self.witness)
+PROPERTIES = ("nil_clean", "weakly_nil_clean", "nil_neat", "weakly_nil_neat")
 
 
 @dataclass
@@ -446,88 +430,52 @@ class ClassificationReport:
 
     label: str
     order: int
-    nil_clean: PropertyVerdict
-    weakly_nil_clean: PropertyVerdict
-    nil_neat: PropertyVerdict
-    weakly_nil_neat: PropertyVerdict
+    nil_clean: Verdict
+    weakly_nil_clean: Verdict
+    nil_neat: Verdict
+    weakly_nil_neat: Verdict
 
-    def verdicts(self) -> dict[str, PropertyVerdict]:
-        return {
-            "nil_clean": self.nil_clean,
-            "weakly_nil_clean": self.weakly_nil_clean,
-            "nil_neat": self.nil_neat,
-            "weakly_nil_neat": self.weakly_nil_neat,
-        }
+    def verdicts(self) -> dict[str, Verdict]:
+        return {name: getattr(self, name) for name in PROPERTIES}
 
     def to_dict(self) -> dict:
+        # "method" records that both derivations decided every verdict
         return {
             "ring": self.label,
             "order": self.order,
             "verdicts": {
-                name: {
-                    "value": v.value,
-                    "method": v.method,
-                    "witness": v.witness_json(),
-                }
+                name: {"value": v.ok, "method": "both", "witness": encode_witness(v.witness)}
                 for name, v in self.verdicts().items()
             },
         }
 
 
-def classify_ring(ring: RingTable, *, method: str = "both") -> ClassificationReport:
-    """Run the requested decision methods and assemble a report.
+def classify_ring(ring: RingTable) -> ClassificationReport:
+    """Decide the four properties definitionally and by criterion.
 
-    With ``method="both"`` the definitional and criterion answers are
-    compared and any mismatch raises :class:`DisagreementError`; the
-    reported witnesses always come from the definitional scans.
+    The two answers are compared and any mismatch raises
+    :class:`DisagreementError`; the reported witnesses come from the
+    definitional scans.
     """
-    if method not in ("definitional", "criterion", "both"):
-        raise ValueError(f"unknown method {method!r}")
-    run_def = method in ("definitional", "both")
-    run_crit = method in ("criterion", "both")
-
-    verdicts: dict[str, PropertyVerdict] = {}
-    definitional = {}
-    if run_def:
-        nc, wnc = _clean_verdicts(ring)
-        nn, wnn = _neat_verdicts(ring)
-        definitional = {
-            "nil_clean": nc,
-            "weakly_nil_clean": wnc,
-            "nil_neat": nn,
-            "weakly_nil_neat": wnn,
-        }
-    criterion = {}
-    if run_crit:
-        criterion = {
-            "nil_clean": is_nil_clean_criterion(ring),
-            "weakly_nil_clean": weakly_nil_clean_criterion(ring).verdict,
-            "nil_neat": is_nil_neat_criterion(ring),
-            "weakly_nil_neat": weakly_nil_neat_criterion(ring),
-        }
-
-    for name in ("nil_clean", "weakly_nil_clean", "nil_neat", "weakly_nil_neat"):
-        if run_def and run_crit and definitional[name].ok != criterion[name]:
+    definitional = (*_clean_verdicts(ring), *_neat_verdicts(ring))
+    criteria = (
+        is_nil_clean_criterion(ring),
+        weakly_nil_clean_criterion(ring),
+        is_nil_neat_criterion(ring),
+        weakly_nil_neat_criterion(ring),
+    )
+    for name, verdict, criterion in zip(PROPERTIES, definitional, criteria):
+        if verdict.ok != criterion:
             raise DisagreementError(
-                f"{name}: definitional={definitional[name].ok} "
-                f"criterion={criterion[name]} on {ring.label}"
+                f"{name}: definitional={verdict.ok} criterion={criterion} on {ring.label}"
             )
-        if run_def:
-            verdicts[name] = PropertyVerdict(
-                value=definitional[name].ok,
-                method="both" if run_crit else "definitional",
-                witness=definitional[name].witness,
-            )
-        else:
-            verdicts[name] = PropertyVerdict(value=criterion[name], method="criterion")
-
-    report = ClassificationReport(ring.label, ring.order, **verdicts)
+    report = ClassificationReport(ring.label, ring.order, *definitional)
     _check_hierarchy(report)
     return report
 
 
 def _check_hierarchy(report: ClassificationReport) -> None:
-    v = {name: pv.value for name, pv in report.verdicts().items()}
+    v = {name: verdict.ok for name, verdict in report.verdicts().items()}
     implications = (
         ("nil_clean", "weakly_nil_clean"),
         ("nil_clean", "nil_neat"),

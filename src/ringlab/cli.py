@@ -2,15 +2,18 @@
 
 Commands::
 
-    ringlab classify <expr> [--method brute|criterion|both] [--json]
+    ringlab classify <expr> [--json]
     ringlab radical <expr> [--json]
     ringlab ideals <expr> [--json]
     ringlab verify-theorem [--max-ring-order N] [--max-product-order P]
                            [--max-group-order M] [--max-groupring-order K]
-                           [--out FILE] [--jobs J]
+                           [--out FILE] [--jobs J] [--cache FILE | --no-cache]
 
-Exit codes: 0 success/agreement, 1 usage error, 2 cap exceeded,
-3 disagreement detected.
+``classify`` decides every property both definitionally and by its
+structural criterion, and a mismatch is a disagreement.
+
+Exit codes: 0 success/agreement, 1 usage error, 2 cap exceeded
+(including running out of memory), 3 disagreement detected.
 """
 
 from __future__ import annotations
@@ -60,7 +63,6 @@ def _build_parser() -> _ArgumentParser:
 
     p_classify = sub.add_parser("classify", help="decide the four nil-clean style properties")
     p_classify.add_argument("expr")
-    p_classify.add_argument("--method", choices=("brute", "criterion", "both"), default="both")
     p_classify.add_argument("--json", action="store_true")
 
     p_radical = sub.add_parser("radical", help="nilradical, Jacobson radical, group-ring cross-check")
@@ -101,8 +103,7 @@ def _evaluate(expr, order_cap: int):
 def _cmd_classify(args) -> int:
     expr = _parse(args.expr)
     ring, view = _evaluate(expr, args.order_cap)
-    method = {"brute": "definitional"}.get(args.method, args.method)
-    report = classify.classify_ring(ring, method=method)
+    report = classify.classify_ring(ring)
     payload = report.to_dict()
     group_ring_info = None
     if view is not None:
@@ -125,9 +126,9 @@ def _cmd_classify(args) -> int:
     else:
         print(f"ring: {report.label}  (order {report.order})")
         for name, verdict in report.verdicts().items():
-            line = f"  {name + ':':<18} {str(verdict.value):<5} [{verdict.method}]"
+            line = f"  {name + ':':<18} {str(verdict.ok):<5} [both]"
             if verdict.witness is not None:
-                line += f"  witness: {verdict.witness_json()}"
+                line += f"  witness: {classify.encode_witness(verdict.witness)}"
             print(line)
         if group_ring_info is not None:
             print(
@@ -207,8 +208,10 @@ def _cmd_verify_theorem(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     cache = cache_from_env(args.cache, disabled=args.no_cache)
-    if args.out:
-        open(args.out, "a").close()  # fail on an unwritable path before the sweep, keep old contents
+    # fail on an unwritable path before the sweep; appending keeps old contents
+    for path in (args.out, cache.path if cache is not None else None):
+        if path:
+            open(path, "a").close()
     report = run_sweep(config, cache=cache)
     lines = report.jsonl_lines()
     if args.out:
@@ -246,6 +249,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError as exc:
+        print(f"cap exceeded: out of memory ({str(exc) or 'allocation failed'}); lower --order-cap",
+              file=sys.stderr)
         return EXIT_CAP
     except DisagreementError as exc:
         print(f"disagreement: {exc}", file=sys.stderr)

@@ -88,11 +88,9 @@ def test_acceptance_4_criterion_vs_oracle_on_plain_rings(plain_ring_catalog):
         wnn_def = is_weakly_nil_neat_definitional(ring).ok
         wnc_crit = weakly_nil_clean_criterion(ring)
         wnn_crit = weakly_nil_neat_criterion(ring)
-        if wnc_crit.verdict != wnc_def or wnn_crit != wnn_def:
+        if wnc_crit != wnc_def or wnn_crit != wnn_def:
             ok = False
-        if not (wnc_crit.residue_fields_ok == wnc_crit.mod_nilradical_ok == wnc_crit.mod_jacobson_ok):
-            ok = False
-        if wnc_crit.verdict and nilradical(ring) != jacobson_radical(ring):
+        if wnc_crit and nilradical(ring) != jacobson_radical(ring):
             ok = False
     assert _report(4, f"criterion vs oracle on {len(plain_ring_catalog)} rings", bool(ok))
 

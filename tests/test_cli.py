@@ -62,14 +62,74 @@ def test_classify_above_cap_uses_criterion(capsys):
 
 def test_classify_brute_above_cap_is_cap_error(capsys):
     # --ideal-cap no longer bounds the definitional deciders; the order cap does
-    code, out, _ = run_cli(capsys, "--ideal-cap", "8", "classify", "Z12", "--method", "brute", "--json")
+    code, out, _ = run_cli(capsys, "--ideal-cap", "8", "classify", "Z12", "--json")
     assert code == EXIT_OK
-    payload = json.loads(out)
-    assert "note" not in payload
-    assert all(v["method"] == "definitional" for v in payload["verdicts"].values())
-    code, _, err = run_cli(capsys, "--order-cap", "8", "classify", "Z12", "--method", "brute")
+    assert "note" not in json.loads(out)
+    code, _, err = run_cli(capsys, "--order-cap", "8", "classify", "Z12")
     assert code == EXIT_CAP
     assert "cap" in err
+
+
+def test_classify_method_flag_is_usage_error(capsys):
+    code, _, err = run_cli(capsys, "classify", "Z6", "--method", "brute")
+    assert code == EXIT_USAGE
+    assert err.startswith("usage error: ")
+
+
+def test_classify_out_of_memory_is_cap_error(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 16.0 GiB")
+
+    monkeypatch.setattr(ringlab.cli, "evaluate_group_ring", exhausted)
+    code, _, err = run_cli(capsys, "--order-cap", "100000", "classify", "GR(Z2, C16)")
+    assert code == EXIT_CAP
+    assert err.startswith("cap exceeded: out of memory") and "Traceback" not in err
+
+
+# The complete classify output, text and --json, pinned byte for byte.
+CLASSIFY_STDOUT = {
+    ("Z9 x Z3",): """\
+ring: Z9 x Z3  (order 27)
+  nil_clean:         False [both]  witness: 2
+  weakly_nil_clean:  False [both]  witness: 5
+  nil_neat:          False [both]  witness: [0, 1, 2]
+  weakly_nil_neat:   False [both]  witness: [0, 9, 18]
+""",
+    ("Z9 x Z3", "--json"): (
+        '{"order": 27, "ring": "Z9 x Z3", "verdicts": {'
+        '"nil_clean": {"method": "both", "value": false, "witness": 2}, '
+        '"nil_neat": {"method": "both", "value": false, "witness": [0, 1, 2]}, '
+        '"weakly_nil_clean": {"method": "both", "value": false, "witness": 5}, '
+        '"weakly_nil_neat": {"method": "both", "value": false, "witness": [0, 9, 18]}}}\n'
+    ),
+    ("GR(Z3, C2)",): """\
+ring: GR(Z3, C2)  (order 9)
+  nil_clean:         False [both]  witness: 2
+  weakly_nil_clean:  False [both]  witness: 3
+  nil_neat:          False [both]  witness: [0, 4, 8]
+  weakly_nil_neat:   True  [both]
+  group-ring predicates: weakly_nil_neat=True (condition 4), weakly_nil_clean=False (condition None), \
+nil_neat=False, nil_clean=False
+  note: isomorphic to Z3 x Z3
+""",
+    ("GR(Z3, C2)", "--json"): (
+        '{"group_ring": {"lemma_condition": null, "lemma_predicate": false, '
+        '"nil_clean_predicate": false, "nil_neat_predicate": false, '
+        '"note": "isomorphic to Z3 x Z3", "theorem_condition": 4, "theorem_predicate": true}, '
+        '"order": 9, "ring": "GR(Z3, C2)", "verdicts": {'
+        '"nil_clean": {"method": "both", "value": false, "witness": 2}, '
+        '"nil_neat": {"method": "both", "value": false, "witness": [0, 4, 8]}, '
+        '"weakly_nil_clean": {"method": "both", "value": false, "witness": 3}, '
+        '"weakly_nil_neat": {"method": "both", "value": true, "witness": null}}}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("args", list(CLASSIFY_STDOUT), ids=" ".join)
+def test_classify_stdout_is_pinned(capsys, args):
+    code, out, _ = run_cli(capsys, "classify", *args)
+    assert code == EXIT_OK
+    assert out == CLASSIFY_STDOUT[args]
 
 
 def test_ideal_cap_bounds_only_the_ideals_command(capsys):
@@ -255,6 +315,14 @@ def test_verify_theorem_opens_out_before_the_sweep(tmp_path, capsys, monkeypatch
     monkeypatch.setattr(ringlab.cli, "run_sweep", _refuse("run_sweep"))
     out = tmp_path / "missing" / "out.jsonl"
     code, _, err = run_cli(capsys, *TINY_SWEEP, "--no-cache", "--out", str(out))
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_verify_theorem_opens_cache_before_the_sweep(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(ringlab.cli, "run_sweep", _refuse("run_sweep"))
+    cache = tmp_path / "missing" / "c.jsonl"
+    code, _, err = run_cli(capsys, *TINY_SWEEP, "--cache", str(cache))
     assert code == EXIT_USAGE
     assert err.startswith("error: ") and "Traceback" not in err
 
