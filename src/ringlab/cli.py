@@ -79,7 +79,9 @@ def _build_parser() -> _ArgumentParser:
     p_verify.add_argument("--max-group-order", type=int, default=4)
     p_verify.add_argument("--max-groupring-order", type=int, default=1024)
     p_verify.add_argument("--out", default=None, help="write the JSONL report here instead of stdout")
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--jobs", type=int, default=1, metavar="N",
+                          help="worker processes; each builds its own group rings, "
+                               "so N of them multiply peak memory by up to N")
     p_verify.add_argument("--cache", default=None, help=f"cache file (default: ${ENV_VAR})")
     p_verify.add_argument("--no-cache", action="store_true")
     return parser

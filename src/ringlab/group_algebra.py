@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .ideals import IdealSet, ideal_generated, jacobson_radical
-from .rings import _BLOCK, DEFAULT_ORDER_CAP, CapExceeded, RingHom, RingTable, _readonly, _table_dtype
+from .rings import DEFAULT_ORDER_CAP, CapExceeded, RingHom, RingTable, _readonly, _row_blocks, _table_dtype
 
 
 def _factorint(n: int) -> dict[int, int]:
@@ -169,8 +169,9 @@ def group_ring(base: RingTable, group: AbelianGroup, *, cap: int = DEFAULT_ORDER
     Multiplication is additive in its second argument: u * (c g_t) has
     index sum_h mul_R[u_h, c] n^pos(g_h g_t), and for v < n^t, u * (c n^t
     + v) = u * (c g_t) + u * v.  So the columns, filled in increasing
-    order in row blocks of ``_BLOCK`` entries, cost one gather into RG's
-    own ``add`` per entry.
+    order, cost one gather into RG's own ``add`` per entry: a flat
+    ``np.take`` whose intp indices are formed one row block of at most
+    ``_BLOCK`` entries at a time.
     """
     n = base.order
     m = group.order
@@ -185,16 +186,16 @@ def group_ring(base: RingTable, group: AbelianGroup, *, cap: int = DEFAULT_ORDER
     radix = n ** np.arange(m, dtype=np.int64)
     elements = group.elements()
     index = {e: i for i, e in enumerate(elements)}
+    flat = add.ravel()  # add[u, v] is flat[u * size + v]
     mul = np.zeros((size, size), dtype=dt)
     for t, et in enumerate(elements):
         pos = [index[tuple((a + b) % d for a, b, d in zip(eh, et, group.factors))] for eh in elements]
         lo = n**t
-        step = max(1, _BLOCK // lo)
         for c in range(1, n):
-            col = (base.mul[digits, c] * radix[pos, None]).sum(axis=0)
-            for r0 in range(0, size, step):
-                rows = slice(r0, r0 + step)
-                mul[rows, c * lo : (c + 1) * lo] = add[col[rows, None], mul[rows, :lo]]
+            col = (base.mul[digits, c] * radix[pos, None]).sum(axis=0).astype(np.intp) * size
+            for rows in _row_blocks(size, lo):
+                idx = mul[rows, :lo] + col[rows, None]  # formed in intp, col's dtype
+                mul[rows, c * lo : (c + 1) * lo] = np.take(flat, idx)
     ring = RingTable(add, mul, zero=0, one=int(base.one), label=f"GR({base.label}, {group.label})")
     return GroupRingView(ring, base, group, digits.T)
 

@@ -3,8 +3,9 @@
 The whole module is brute force by design: principal ideals are columns
 of the multiplication table, and every ideal is a sum of principal
 ones, built one summand at a time.  Maximal ideals are not read off
-the ideal lattice: each is grown greedily from a principal ideal by
-adding principal ideals while the sum stays proper (see
+the ideal lattice either: a finite commutative ring is the product of
+the local rings Re over its primitive idempotents e, so each maximal
+ideal is read off one primitive idempotent and the units (see
 :func:`maximal_ideals`), and the Jacobson radical is a literal
 intersection of those maximal ideals.  Minimal ideals are principal
 and are read off the multiplication table, also without the lattice.
@@ -21,11 +22,12 @@ from functools import reduce
 import numpy as np
 
 from .rings import (
-    _BLOCK,
     CapExceeded,
+    DisagreementError,
     RingHom,
     RingTable,
     _memo,
+    _row_blocks,
     element_classes,
 )
 
@@ -92,15 +94,17 @@ class IdealSet:
         return f"IdealSet({self.label}, {{{inner}}})"
 
 
-def _check_ideal(ring: RingTable, members: np.ndarray) -> None:
-    if ring.zero not in members:
+def _check_ideal(ring: RingTable, members: np.ndarray) -> np.ndarray:
+    """Raise ``ValueError`` unless ``members`` is an ideal; return its member mask."""
+    member = np.zeros(ring.order, dtype=bool)
+    member[members] = True
+    if not member[ring.zero]:
         raise ValueError("ideal must contain zero")
-    sums = ring.add[np.ix_(members, members)]
-    if not np.isin(sums, members).all():
+    if not member[ring.add[np.ix_(members, members)]].all():
         raise ValueError("set is not closed under addition")
-    prods = ring.mul[:, members]
-    if not np.isin(prods, members).all():
+    if not member[ring.mul[:, members]].all():
         raise ValueError("set is not closed under ambient multiplication")
+    return member
 
 
 def _principal(ring: RingTable, x: int) -> np.ndarray:
@@ -220,64 +224,49 @@ def is_field(ring: RingTable) -> bool:
     return len(element_classes(ring).units | {ring.zero}) == ring.order
 
 
-def _grow_maximal(ring: RingTable, x: int, candidates: np.ndarray) -> np.ndarray:
-    """Members of a maximal ideal containing ``x``, a non-unit.
+def _primitive_idempotents(ring: RingTable, idempotents) -> np.ndarray:
+    """The primitive idempotents, split off 1 along every idempotent.
 
-    Starts from I = Rx and scans ``candidates`` (the non-units) in index
-    order, one block of at most ``_BLOCK`` table entries at a time.  y is
-    comaximal with I (I + Ry = R) exactly when some r*y lies in 1 - I.
-    The first y that is not comaximal is absorbed, I := I + Ry, which
-    stays proper; a y found comaximal stays so as I grows and is dropped
-    for good.  When no candidate is left, every y outside I is comaximal
-    with I, so I is maximal.
+    Starting from the partition [1], each idempotent f replaces every
+    block e by e*f and e - e*f, and zero blocks are dropped.  The blocks
+    stay idempotent, orthogonal and summing to 1; once every f has
+    split them, none can be split further, so they are primitive.
     """
-    n = ring.order
-    step = max(1, _BLOCK // n)
-    member = np.zeros(n, dtype=bool)
-    member[ring.mul[:, x]] = True
-    one_minus = member[ring.add[ring.one, ring.neg]]  # y in 1 - I iff 1 - y in I
-    open_ = candidates[~member[candidates]]
-    while open_.size:
-        rows = open_[:step]
-        comaximal = one_minus[ring.mul[rows]].any(axis=1)
-        if comaximal.all():
-            open_ = open_[step:]
-            continue
-        k = int(np.argmin(comaximal))
-        # an inline I + Ry, not _ideal_sum: J's tests check it against ideal_generated
-        multiples = np.unique(ring.mul[:, rows[k]])
-        member[np.unique(ring.add[np.ix_(np.flatnonzero(member), multiples)])] = True
-        one_minus = member[ring.add[ring.one, ring.neg]]
-        rest = np.concatenate([rows[k + 1 :][~comaximal[k + 1 :]], open_[step:]])
-        open_ = rest[~member[rest]]
-    return np.flatnonzero(member)
+    blocks = np.array([ring.one])
+    for f in sorted(idempotents):
+        part = ring.mul[blocks, f]
+        blocks = np.concatenate([part, ring.add[blocks, ring.neg[part]]])
+        blocks = np.unique(blocks[blocks != ring.zero])
+    prods = ring.mul[np.ix_(blocks, blocks)]
+    prods[np.diag_indices(blocks.size)] = ring.zero
+    if (prods != ring.zero).any():
+        raise DisagreementError(f"corrupted table {ring.label}: primitive idempotents are not orthogonal")
+    if reduce(lambda acc, e: int(ring.add[acc, e]), blocks, ring.zero) != ring.one:
+        raise DisagreementError(f"corrupted table {ring.label}: primitive idempotents do not sum to 1")
+    return blocks
 
 
 @_memo
 def maximal_ideals(ring: RingTable) -> tuple[IdealSet, ...]:
-    """All maximal ideals, in canonical order, found by greedy growth.
+    """All maximal ideals, in canonical order, from the primitive idempotents.
 
-    The lattice is never enumerated.  While some non-unit x lies in no
-    maximal ideal found so far, the least such x seeds a growth that
-    returns a maximal ideal containing x (:func:`_grow_maximal`); that
-    ideal is new, since x lies in none of the earlier ones.  The search
-    is complete by the Chinese remainder theorem (Atiyah-Macdonald
-    1.10): for maximal ideals M1, ..., Mk, R maps onto R/M1 x ... x
-    R/Mk, so each Mi contains an element lying in no other Mj.  That
-    element stays uncovered until Mi is found, so the loop runs exactly
-    one growth per maximal ideal.  A field has the zero ideal as its
-    only maximal ideal, grown from x = 0.
+    The lattice is never enumerated.  A finite commutative ring is
+    artinian, so it is the product of the local rings Re_1, ..., Re_k
+    over its primitive idempotents (Atiyah-Macdonald 8.7), and its
+    maximal ideals are M_i = {x : xe_i lies in the maximal ideal of
+    Re_i}, one for each e_i.  The element xe_i + (1 - e_i) has xe_i in
+    place i and 1 in every other place, so M_i is exactly the x for
+    which it is not a unit.  Only units and idempotents are used, never
+    the nilpotents, so J stays independent of N.  A local ring, a field
+    included, has e_1 = 1 and its non-units as its maximal ideal.
     """
-    covered = np.zeros(ring.order, dtype=bool)
-    covered[list(element_classes(ring).units)] = True
-    candidates = np.flatnonzero(~covered)
+    classes = element_classes(ring)
+    unit = np.zeros(ring.order, dtype=bool)
+    unit[list(classes.units)] = True
     found = []
-    while not covered.all():
-        x = int(np.argmin(covered))
-        members = _grow_maximal(ring, x, candidates)
-        covered[members] = True
-        covered[x] = True  # x is in Rx, unless the table is corrupted
-        found.append(members)
+    for e in _primitive_idempotents(ring, classes.idempotents):
+        rest = ring.add[ring.one, ring.neg[e]]  # 1 - e
+        found.append(np.flatnonzero(~unit[ring.add[ring.mul[:, e], rest]]))
     found.sort(key=lambda m: (m.size, tuple(m)))
     return tuple(IdealSet(ring, m, validate=False) for m in found)
 
@@ -287,12 +276,18 @@ def minimal_ideals(ring: RingTable) -> tuple[IdealSet, ...]:
     """All minimal nonzero ideals, in canonical order; a field has only R."""
     # a minimal ideal is some Rx.  Rx is R/Ann(x) as a group, and Ry inside Rx has
     # Ann(y) containing Ann(x), so Rx is minimal iff |Ann(y)| = |Ann(x)| for all nonzero y in Rx
-    ann = np.count_nonzero(ring.mul == ring.zero, axis=1).astype(ring.mul.dtype)  # |Ann(x)|
+    n = ring.order
+    ann = np.empty(n, dtype=ring.mul.dtype)  # |Ann(x)|
+    for rows in _row_blocks(n, n):
+        ann[rows] = np.count_nonzero(ring.mul[rows] == ring.zero, axis=1)
     rank = ann.copy()
     rank[ring.zero] = 0  # so y = 0 never gives the largest |Ann(y)|
-    covered = np.zeros(ring.order, dtype=bool)
+    minimal = np.empty(n, dtype=bool)
+    for rows in _row_blocks(n, n):  # row x of mul is Rx
+        minimal[rows] = rank[ring.mul[rows]].max(axis=1) == ann[rows]
+    covered = np.zeros(n, dtype=bool)
     found = []
-    for x in np.flatnonzero(rank[ring.mul].max(axis=1) == ann):  # row x of mul is Rx
+    for x in np.flatnonzero(minimal):
         if not covered[x]:  # else x lies in a minimal ideal found, which is Rx
             found.append(_principal(ring, x))
             covered[found[-1]] = True
@@ -304,12 +299,11 @@ def is_prime_ideal(ring: RingTable, ideal: IdealSet) -> bool:
     """True iff a, b outside the ideal implies ab outside the ideal."""
     if not isinstance(ideal, IdealSet) or (ideal.order, ideal.label) != (ring.order, ring.label):
         raise ValueError("expected an ideal of this ring")
-    _check_ideal(ring, ideal.members)
+    member = _check_ideal(ring, ideal.members)
     if ideal.is_whole:
         raise ValueError("the whole ring is not a candidate prime ideal")
-    comp = np.setdiff1d(np.arange(ring.order), ideal.members, assume_unique=False)
-    prods = ring.mul[np.ix_(comp, comp)]
-    return not np.isin(prods, ideal.members).any()
+    comp = np.flatnonzero(~member)
+    return not member[ring.mul[np.ix_(comp, comp)]].any()
 
 
 @_memo

@@ -31,7 +31,7 @@ import numpy as np
 #: Default upper bound on the number of elements of any constructed ring.
 DEFAULT_ORDER_CAP = 4096
 
-_BLOCK = 1 << 22  # elements per chunk in table-sized scans
+_BLOCK = 1 << 18  # entries per row block in table-sized scans (2 MB of intp)
 
 
 class RingLabError(Exception):
@@ -109,7 +109,10 @@ class RingTable:
         self.add = _readonly(add)
         self.mul = _readonly(mul)
         # additive inverse of i sits where row i of `add` hits zero
-        self.neg = _readonly((add == zero).argmax(axis=1).astype(dt))
+        neg = np.empty(n, dtype=dt)
+        for rows in _row_blocks(n, n):
+            neg[rows] = (add[rows] == zero).argmax(axis=1)
+        self.neg = _readonly(neg)
         self._facts: dict = {}
 
     def __len__(self) -> int:
@@ -124,6 +127,18 @@ class RingTable:
         for _ in range(int(k)):
             acc = int(self.add[acc, x])
         return acc
+
+
+def _row_blocks(rows: int, width: int):
+    """Consecutive slices of ``range(rows)``, each of at most ``_BLOCK``
+    entries when a row holds ``width`` of them (but at least one row).
+
+    Scans over a table go one block at a time, so their temporaries stay
+    a small fixed size instead of growing with the table.
+    """
+    step = max(1, _BLOCK // max(1, width))
+    for r0 in range(0, rows, step):
+        yield slice(r0, min(rows, r0 + step))
 
 
 def _memo(fn):
@@ -218,7 +233,9 @@ def element_classes(r: RingTable) -> ElementClasses:
     idx = np.arange(n)
     nil = _nilpotent_mask(r)
     idem = r.mul.diagonal() == idx
-    units = (r.mul == r.one).any(axis=1)
+    units = np.empty(n, dtype=bool)
+    for rows in _row_blocks(n, n):
+        units[rows] = (r.mul[rows] == r.one).any(axis=1)
     classes = ElementClasses(
         nilpotents=frozenset(map(int, idx[nil])),
         idempotents=frozenset(map(int, idx[idem])),
@@ -327,12 +344,11 @@ def validate_ring_axioms(r: RingTable) -> ValidationReport:
         a = int(np.argwhere(mul[r.one] != idx)[0][0])
         out.append(Violation("one is the multiplicative identity", (a,)))
 
-    block = max(1, _BLOCK // max(1, n * n))
     assoc_add = assoc_mul = distrib = None
-    for a0 in range(0, n, block):
-        a1 = min(n, a0 + block)
-        rows_a = add[a0:a1]
-        rows_m = mul[a0:a1]
+    for rows in _row_blocks(n, n * n):
+        a0 = rows.start
+        rows_a = add[rows]
+        rows_m = mul[rows]
         if assoc_add is None:
             bad = add[rows_a, :] != rows_a[:, add]  # (a+b)+c vs a+(b+c)
             if bad.any():

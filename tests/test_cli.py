@@ -132,6 +132,46 @@ def test_classify_stdout_is_pinned(capsys, args):
     assert out == CLASSIFY_STDOUT[args]
 
 
+# The complete radical --json output, pinned byte for byte.  J = N is the
+# maximal ideal of the local ring Z9[C3], so one member list appears three times.
+_Z9_C3_RADICAL = (
+    "[0, 3, 6, 11, 14, 17, 19, 22, 25, 27, 30, 33, 38, 41, 44, 46, 49, 52, 54, 57, 60, 65, 68, "
+    "71, 73, 76, 79, 83, 86, 89, 91, 94, 97, 99, 102, 105, 110, 113, 116, 118, 121, 124, 126, "
+    "129, 132, 137, 140, 143, 145, 148, 151, 153, 156, 159, 163, 166, 169, 171, 174, 177, 182, "
+    "185, 188, 190, 193, 196, 198, 201, 204, 209, 212, 215, 217, 220, 223, 225, 228, 231, 236, "
+    "239, 242, 243, 246, 249, 254, 257, 260, 262, 265, 268, 270, 273, 276, 281, 284, 287, 289, "
+    "292, 295, 297, 300, 303, 308, 311, 314, 316, 319, 322, 326, 329, 332, 334, 337, 340, 342, "
+    "345, 348, 353, 356, 359, 361, 364, 367, 369, 372, 375, 380, 383, 386, 388, 391, 394, 396, "
+    "399, 402, 406, 409, 412, 414, 417, 420, 425, 428, 431, 433, 436, 439, 441, 444, 447, 452, "
+    "455, 458, 460, 463, 466, 468, 471, 474, 479, 482, 485, 486, 489, 492, 497, 500, 503, 505, "
+    "508, 511, 513, 516, 519, 524, 527, 530, 532, 535, 538, 540, 543, 546, 551, 554, 557, 559, "
+    "562, 565, 569, 572, 575, 577, 580, 583, 585, 588, 591, 596, 599, 602, 604, 607, 610, 612, "
+    "615, 618, 623, 626, 629, 631, 634, 637, 639, 642, 645, 649, 652, 655, 657, 660, 663, 668, "
+    "671, 674, 676, 679, 682, 684, 687, 690, 695, 698, 701, 703, 706, 709, 711, 714, 717, 722, "
+    "725, 728]"
+)
+RADICAL_STDOUT = {
+    "GR(Z9, C3)": (
+        '{"jacobson": {"members": ' + _Z9_C3_RADICAL + ', "size": 243}, '
+        '"karpilovsky": {"matches_jacobson": true, "members": ' + _Z9_C3_RADICAL + ', "size": 243}, '
+        '"nilradical": {"members": ' + _Z9_C3_RADICAL + ', "size": 243}, "order": 729, "ring": "GR(Z9, C3)"}\n'
+    ),
+    "GR(Z2 x Z3, C4)": (
+        '{"jacobson": {"members": [0, 21, 111, 126, 651, 666, 756, 777], "size": 8}, '
+        '"karpilovsky": {"matches_jacobson": true, "members": [0, 21, 111, 126, 651, 666, 756, 777], "size": 8}, '
+        '"nilradical": {"members": [0, 21, 111, 126, 651, 666, 756, 777], "size": 8}, '
+        '"order": 1296, "ring": "GR(Z2 x Z3, C4)"}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("expr", list(RADICAL_STDOUT))
+def test_radical_json_stdout_is_pinned(capsys, expr):
+    code, out, _ = run_cli(capsys, "radical", expr, "--json")
+    assert code == EXIT_OK
+    assert out == RADICAL_STDOUT[expr]
+
+
 def test_ideal_cap_bounds_only_the_ideals_command(capsys):
     code, _, err = run_cli(capsys, "--ideal-cap", "8", "ideals", "Z12")
     assert code == EXIT_CAP

@@ -1,13 +1,17 @@
 """Ideal lattice, quotients and radicals."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ringlab import (
     CapExceeded,
+    DisagreementError,
     IdealSet,
     direct_product,
+    element_classes,
     enumerate_ideals,
     ideal_generated,
     is_field,
@@ -21,8 +25,9 @@ from ringlab import (
     quotient_ring,
     validate_ring_axioms,
 )
+from ringlab import ideals
 from ringlab.expr import evaluate
-from ringlab.ideals import minimal_generators
+from ringlab.ideals import _quotient_ring, minimal_generators
 
 
 def test_ideal_generated_examples():
@@ -38,6 +43,12 @@ def test_ideal_set_rejects_non_ideal():
         IdealSet(z6, [0, 1])  # not closed under addition: 1+1=2 missing
     with pytest.raises(ValueError):
         IdealSet(z6, [2, 4])  # zero missing
+
+
+def test_ideal_set_rejects_set_not_closed_under_ambient_multiplication():
+    ring = evaluate(parse_ring_expr("GR(Z2, C2)"))
+    with pytest.raises(ValueError, match="not closed under ambient multiplication"):
+        IdealSet(ring, [0, 1])  # 1 + 1 = 0, but 1 * g = g is missing
 
 
 def test_enumerate_ideals_examples():
@@ -83,6 +94,31 @@ def test_maximal_ideals_match_lattice(plain_ring_catalog, sweep_group_rings):
     assert len(rings) > 150
     for ring in rings:
         assert list(maximal_ideals(ring)) == _maximal_ideals_by_lattice(ring), ring.label
+
+
+@pytest.mark.parametrize("label, count", [
+    (" x ".join(["Z2"] * 12), 12),
+    ("GR(Z3, C2 x C2 x C2)", 8),
+    ("GR(Z9, C4)", 3),
+], ids=["Z2^12", "GR(Z3, C2 x C2 x C2)", "GR(Z9, C4)"])
+def test_maximal_ideals_above_the_lattice_cap(label, count):
+    ring = evaluate(parse_ring_expr(label), order_cap=6561)
+    maxima = maximal_ideals(ring)
+    assert len(maxima) == count
+    assert len({m.key for m in maxima}) == count
+    for m in maxima:
+        # _quotient_ring skips the projection's hom check: four order^2 gathers per ideal
+        assert is_field(_quotient_ring(ring, m)[0]), m
+    # J from units and idempotents, N from powers: no scan in common
+    assert jacobson_radical(ring) == nilradical(ring)
+
+
+def test_maximal_ideals_reject_idempotents_that_are_not_orthogonal(monkeypatch):
+    z6 = make_zmod(6)
+    wrong = replace(element_classes(z6), idempotents=frozenset({0, 1, 2}))  # 2 * 5 = 4 in Z6
+    monkeypatch.setattr(ideals, "element_classes", lambda ring: wrong)
+    with pytest.raises(DisagreementError, match="not orthogonal"):
+        maximal_ideals(z6)
 
 
 def _closure_reference(ring, gens):

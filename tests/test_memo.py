@@ -25,36 +25,36 @@ from ringlab import classify, ideals
 from ringlab.sweep import SweepConfig, ring_catalog, run_sweep
 
 
-def _count_growths(monkeypatch) -> list[int]:
+def _count_splits(monkeypatch) -> list[str]:
+    """Record the ring label of every primitive-idempotent split."""
     calls = []
-    grow = ideals._grow_maximal
+    split = ideals._primitive_idempotents
 
-    def counted(*args):
-        calls.append(1)
-        return grow(*args)
+    def counted(ring, *rest):
+        calls.append(ring.label)
+        return split(ring, *rest)
 
-    monkeypatch.setattr(ideals, "_grow_maximal", counted)
+    monkeypatch.setattr(ideals, "_primitive_idempotents", counted)
     return calls
 
 
-def test_maximal_ideals_are_grown_once_per_ring(monkeypatch):
+def test_maximal_ideals_are_derived_once_per_ring(monkeypatch):
     base = direct_product(make_zmod(4), make_zmod(3))
-    expected = len(maximal_ideals(direct_product(make_zmod(4), make_zmod(3))))
-    calls = _count_growths(monkeypatch)
+    calls = _count_splits(monkeypatch)
     classify_ring(base)
     for factors in ([], [2], [3]):
         weakly_nil_neat_group_ring_predicate(base, make_group(factors))
         weakly_nil_clean_group_ring_predicate(base, make_group(factors))
-    assert len(calls) == expected == 2
+    assert calls == ["Z4 x Z3"]
+    assert len(maximal_ideals(base)) == 2
 
 
-def test_sweep_grows_maximal_ideals_once_per_base_ring(monkeypatch):
+def test_sweep_derives_maximal_ideals_once_per_base_ring(monkeypatch):
     config = SweepConfig(max_ring_order=4, max_product_order=4, max_group_order=2, max_groupring_order=64)
-    expected = sum(len(maximal_ideals(evaluate(e))) for e in ring_catalog(config))
-    calls = _count_growths(monkeypatch)
+    calls = _count_splits(monkeypatch)
     report = run_sweep(config)
     assert report.all_agree and len(report.records) > len(ring_catalog(config))
-    assert len(calls) == expected
+    assert sorted(calls) == sorted(evaluate(e).label for e in ring_catalog(config))
 
 
 def _record_calls(monkeypatch, module, name) -> list:
