@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .group_algebra import group_ring, group_ring_order, make_group
-from .ideals import ideal_generated, _quotient_ring
+from .ideals import ideal_generated, quotient_ring
 from .rings import DEFAULT_ORDER_CAP, RingLabError, RingTable, direct_product, make_zmod
 
 
@@ -218,17 +218,7 @@ def evaluate(expr: RingExpr, *, order_cap: int = DEFAULT_ORDER_CAP) -> RingTable
         return direct_product(left, right, cap=order_cap)
     if isinstance(expr, QuotientExpr):
         base = evaluate(expr.base, order_cap=order_cap)
-        for g in expr.gens:
-            if not 0 <= g < base.order:
-                raise ValueError(
-                    f"quotient generator {g} is not an element index of {base.label} "
-                    f"(order {base.order})"
-                )
-        ideal = ideal_generated(base, expr.gens)
-        if ideal.is_whole:
-            raise ValueError("quotient by the whole ring is the zero ring and is not constructible")
-        quot, _ = _quotient_ring(base, ideal)
-        return quot
+        return quotient_ring(base, ideal_generated(base, expr.gens))
     if isinstance(expr, GroupRingExpr):
         return evaluate_group_ring(expr, order_cap=order_cap).ring
     raise TypeError(f"not a ring expression: {expr!r}")

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .ideals import IdealSet, ideal_generated, jacobson_radical
-from .rings import DEFAULT_ORDER_CAP, CapExceeded, RingHom, RingTable, _readonly, _row_blocks, _table_dtype
+from .rings import DEFAULT_ORDER_CAP, CapExceeded, RingHom, RingTable, _product_table, _readonly, _row_blocks, _table_dtype
 
 
 def _factorint(n: int) -> dict[int, int]:
@@ -179,9 +179,9 @@ def group_ring(base: RingTable, group: AbelianGroup, *, cap: int = DEFAULT_ORDER
     if base.zero != 0:
         raise ValueError(f"group ring over {base.label}: its zero must be index 0, not {base.zero}")
     dt = _table_dtype(size)
-    small = add = base.add.astype(dt)
-    for t in range(1, m):
-        add = (small[:, None, :, None] * dt.type(n**t) + add[None, :, None, :]).reshape(n ** (t + 1), -1)
+    add = base.add.astype(dt)
+    for _ in range(1, m):
+        add = _product_table(base.add, add, dt)
     digits = _digits(size, n, m)
     radix = n ** np.arange(m, dtype=np.int64)
     elements = group.elements()

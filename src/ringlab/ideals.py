@@ -2,8 +2,12 @@
 
 The whole module is brute force by design: principal ideals are columns
 of the multiplication table, and every ideal is a sum of principal
-ones, built one summand at a time.  Maximal ideals are not read off
-the ideal lattice either: a finite commutative ring is the product of
+ones, built one summand at a time by a single walk that serves both
+:func:`ideal_generated` and the minimal generators naming a quotient.
+:func:`quotient_ring` is the one quotient constructor.  It returns the
+table ring R/I, whose cosets are indexed in the order of their least
+members; it builds no projection object.  Maximal ideals are not read off
+the ideal lattice: a finite commutative ring is the product of
 the local rings Re over its primitive idempotents e, so each maximal
 ideal is read off one primitive idempotent and the units (see
 :func:`maximal_ideals`), and the Jacobson radical is a literal
@@ -24,10 +28,10 @@ import numpy as np
 from .rings import (
     CapExceeded,
     DisagreementError,
-    RingHom,
     RingTable,
     _memo,
     _row_blocks,
+    _table_dtype,
     element_classes,
 )
 
@@ -117,36 +121,36 @@ def _ideal_sum(ring: RingTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.unique(ring.add[np.ix_(a, b)]).astype(np.int64)
 
 
-def ideal_generated(ring: RingTable, gens) -> IdealSet:
-    """Least ideal containing ``gens``: the sum of the principal ideals Rg.
+def _span(ring: RingTable, candidates) -> tuple[np.ndarray, list[int]]:
+    """Sum of the principal ideals Rx over ``candidates``, walked in order.
 
-    Starting from the zero ideal, each generator not yet in the ideal
-    adds its principal ideal.
+    Starting from the zero ideal, each candidate not yet in the sum adds
+    its principal ideal; returns the sorted members and those candidates.
     """
-    gens = np.unique(np.fromiter(gens, dtype=np.int64)) if not isinstance(gens, np.ndarray) else np.unique(gens.astype(np.int64))
-    if gens.size and (gens.min() < 0 or gens.max() >= ring.order):
-        raise ValueError("generator index out of range")
     members = np.array([ring.zero], dtype=np.int64)
-    for g in gens:
-        if g not in members:
-            members = _ideal_sum(ring, members, _principal(ring, g))
-    return IdealSet(ring, members)
+    covered = np.zeros(ring.order, dtype=bool)
+    covered[ring.zero] = True
+    used: list[int] = []
+    for x in candidates:
+        if not covered[x]:
+            used.append(int(x))
+            members = _ideal_sum(ring, members, _principal(ring, x))
+            covered[members] = True
+    return members, used
+
+
+def ideal_generated(ring: RingTable, gens) -> IdealSet:
+    """Least ideal containing ``gens``: the sum of the principal ideals Rg."""
+    gens = np.fromiter(gens, dtype=np.int64)
+    bad = gens[(gens < 0) | (gens >= ring.order)]
+    if bad.size:
+        raise ValueError(f"generator {bad[0]} is not an element index of {ring.label} (order {ring.order})")
+    return IdealSet(ring, _span(ring, np.unique(gens))[0])
 
 
 def minimal_generators(ring: RingTable, ideal: IdealSet) -> list[int]:
     """Greedy small generating set, used for quotient labels."""
-    if ideal.is_zero:
-        return [ring.zero]
-    gens: list[int] = []
-    span = np.array([ring.zero], dtype=np.int64)
-    for x in ideal.key:
-        if x in span:
-            continue
-        gens.append(int(x))
-        span = _ideal_sum(ring, span, _principal(ring, x))
-        if span.size == len(ideal):
-            break
-    return gens
+    return _span(ring, ideal.members)[1] or [ring.zero]
 
 
 def enumerate_ideals(ring: RingTable, *, cap: int = DEFAULT_IDEAL_CAP) -> tuple[IdealSet, ...]:
@@ -190,31 +194,30 @@ def _lattice(ring: RingTable) -> tuple[IdealSet, ...]:
     return tuple(IdealSet(ring, m, validate=False) for m in ordered)
 
 
-def _quotient_ring(ring: RingTable, ideal: IdealSet) -> tuple[RingTable, np.ndarray]:
-    """Quotient ring plus the raw projection vector (no hom object)."""
+def quotient_ring(ring: RingTable, ideal: IdealSet) -> RingTable:
+    """R/I for a proper ideal I, labelled ``R/(g1,...)`` by minimal generators.
+
+    Each coset is represented by its least member, and the cosets are
+    indexed in the order of those members.  The projection is cast to
+    the quotient's table dtype, so the q x q gathers through it make no
+    intp temporary.
+    """
     if ideal.is_whole:
-        raise ValueError("quotient by the whole ring is the zero ring; callers treat it as vacuous")
-    rep = np.asarray(ring.add[:, ideal.members]).min(axis=1).astype(np.int64)
+        raise ValueError(
+            f"quotient of {ring.label} (order {ring.order}) by the whole ring is the zero ring "
+            "and is not constructible"
+        )
+    rep = ring.add[:, ideal.members].min(axis=1)
     class_reps = np.unique(rep)
-    proj = np.searchsorted(class_reps, rep)
-    q_add = proj[ring.add[np.ix_(class_reps, class_reps)]]
-    q_mul = proj[ring.mul[np.ix_(class_reps, class_reps)]]
+    proj = np.searchsorted(class_reps, rep).astype(_table_dtype(class_reps.size))
     gens = minimal_generators(ring, ideal)
-    label = f"{ring.label}/({','.join(map(str, gens))})"
-    quot = RingTable(
-        q_add,
-        q_mul,
+    return RingTable(
+        proj[ring.add[np.ix_(class_reps, class_reps)]],
+        proj[ring.mul[np.ix_(class_reps, class_reps)]],
         zero=int(proj[ring.zero]),
         one=int(proj[ring.one]),
-        label=label,
+        label=f"{ring.label}/({','.join(map(str, gens))})",
     )
-    return quot, proj
-
-
-def quotient_ring(ring: RingTable, ideal: IdealSet) -> tuple[RingTable, RingHom]:
-    """Quotient by a proper ideal, with the verified projection hom."""
-    quot, proj = _quotient_ring(ring, ideal)
-    return quot, RingHom(ring, quot, proj)
 
 
 def is_field(ring: RingTable) -> bool:

@@ -181,6 +181,15 @@ def make_zmod(n: int, *, cap: int = DEFAULT_ORDER_CAP) -> RingTable:
     return RingTable(add, mul, zero=0, one=1, label=f"Z{n}")
 
 
+def _product_table(a: np.ndarray, b: np.ndarray, dt: np.dtype) -> np.ndarray:
+    """The table on row-major pairs with entry ``a[i, k] |b| + b[j, l]`` at
+    ``[i|b| + j, k|b| + l]``, computed in ``dt`` with no wider temporary."""
+    nb = b.shape[0]
+    a = a.astype(dt, copy=False)
+    b = b.astype(dt, copy=False)
+    return (a[:, None, :, None] * dt.type(nb) + b[None, :, None, :]).reshape(a.shape[0] * nb, -1)
+
+
 def direct_product(r: RingTable, s: RingTable, *, cap: int = DEFAULT_ORDER_CAP) -> RingTable:
     """Componentwise product ring on row-major pair indices ``i*|S| + j``.
 
@@ -191,13 +200,10 @@ def direct_product(r: RingTable, s: RingTable, *, cap: int = DEFAULT_ORDER_CAP) 
     if n > cap:
         raise CapExceeded(f"product order {n} exceeds cap {cap}")
     ns = s.order
-    idx = np.arange(n, dtype=np.int64)
-    ir, js = idx // ns, idx % ns
-    add = r.add[np.ix_(ir, ir)].astype(np.int64) * ns + s.add[np.ix_(js, js)]
-    mul = r.mul[np.ix_(ir, ir)].astype(np.int64) * ns + s.mul[np.ix_(js, js)]
+    dt = _table_dtype(n)
     return RingTable(
-        add,
-        mul,
+        _product_table(r.add, s.add, dt),
+        _product_table(r.mul, s.mul, dt),
         zero=r.zero * ns + s.zero,
         one=r.one * ns + s.one,
         label=f"{r.label} x {s.label}",
@@ -205,24 +211,18 @@ def direct_product(r: RingTable, s: RingTable, *, cap: int = DEFAULT_ORDER_CAP) 
 
 
 def _nilpotent_mask(r: RingTable) -> np.ndarray:
-    """Boolean mask of elements with x^k = 0 for some k <= order.
+    """Boolean mask of the x with x^(2^k) = 0 for some k <= bit length of order.
 
-    Iterates the power vector x -> x^(k+1); the sequence of vectors
-    repeats within ``order`` steps, so we stop at the first repeat or at
-    k = order, whichever comes first.
+    That is every nilpotent: if x^m = 0, the chain Rx, Rx^2, ... at least
+    halves at each step until it reaches 0, so m <= log2(order) + 1 <= 2^k.
+    Each power is tested, x itself included, so a corrupted table whose 0
+    squares to nonzero still marks 0.
     """
-    n = r.order
-    idx = np.arange(n)
-    cur = idx.copy()
+    cur = np.arange(r.order)
     nil = cur == r.zero
-    seen = {cur.tobytes()}
-    for _ in range(n - 1):
-        cur = r.mul[cur, idx]
+    for _ in range(r.order.bit_length()):
+        cur = r.mul[cur, cur]
         nil |= cur == r.zero
-        key = cur.tobytes()
-        if key in seen:
-            break
-        seen.add(key)
     return nil
 
 
@@ -379,25 +379,24 @@ class RingHom:
 
     __slots__ = ("domain", "codomain", "map")
 
-    def __init__(self, domain: RingTable, codomain: RingTable, map_, *, check: bool = True):
+    def __init__(self, domain: RingTable, codomain: RingTable, map_):
         m = np.asarray(map_).astype(np.int64, copy=True)
         if m.shape != (domain.order,):
             raise ValueError("hom map must assign an image to every domain element")
         if m.min() < 0 or m.max() >= codomain.order:
             raise ValueError("hom image index out of range")
-        if check:
-            if int(m[domain.one]) != codomain.one:
-                raise ValueError("map does not send 1 to 1")
-            fa = m[domain.add]
-            ga = codomain.add[np.ix_(m, m)]
-            if not np.array_equal(fa, ga):
-                a, b = np.argwhere(fa != ga)[0]
-                raise ValueError(f"map is not additive at ({int(a)}, {int(b)})")
-            fm = m[domain.mul]
-            gm = codomain.mul[np.ix_(m, m)]
-            if not np.array_equal(fm, gm):
-                a, b = np.argwhere(fm != gm)[0]
-                raise ValueError(f"map is not multiplicative at ({int(a)}, {int(b)})")
+        if int(m[domain.one]) != codomain.one:
+            raise ValueError("map does not send 1 to 1")
+        fa = m[domain.add]
+        ga = codomain.add[np.ix_(m, m)]
+        if not np.array_equal(fa, ga):
+            a, b = np.argwhere(fa != ga)[0]
+            raise ValueError(f"map is not additive at ({int(a)}, {int(b)})")
+        fm = m[domain.mul]
+        gm = codomain.mul[np.ix_(m, m)]
+        if not np.array_equal(fm, gm):
+            a, b = np.argwhere(fm != gm)[0]
+            raise ValueError(f"map is not multiplicative at ({int(a)}, {int(b)})")
         self.domain = domain
         self.codomain = codomain
         self.map = _readonly(m)

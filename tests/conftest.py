@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
+import util
 from ringlab import direct_product, group_ring, ideal_generated, make_zmod, quotient_ring
 from ringlab.expr import evaluate
 from ringlab.sweep import SweepConfig, group_catalog, ring_catalog
@@ -13,6 +14,14 @@ settings.register_profile(
 settings.load_profile("ringlab")
 
 
+def _checked_quotient(ring, gens):
+    """R/(gens), after checking the coset projection onto it is a hom."""
+    ideal = ideal_generated(ring, gens)
+    quot = quotient_ring(ring, ideal)
+    util.coset_projection(ring, ideal, quot)
+    return quot
+
+
 @pytest.fixture(scope="session")
 def plain_ring_catalog():
     """Over 50 plain rings of order <= 64: Z_n, products and quotients."""
@@ -22,9 +31,9 @@ def plain_ring_catalog():
             rings.append(direct_product(make_zmod(a), make_zmod(b)))
     for parent_order, gen in ((12, 6), (16, 8), (18, 6), (27, 9), (32, 4)):
         parent = make_zmod(parent_order)
-        rings.append(quotient_ring(parent, ideal_generated(parent, {gen}))[0])
+        rings.append(_checked_quotient(parent, {gen}))
     z4z9 = direct_product(make_zmod(4), make_zmod(9))
-    rings.append(quotient_ring(z4z9, ideal_generated(z4z9, {2 * 9 + 3}))[0])  # by ((2,3))
+    rings.append(_checked_quotient(z4z9, {2 * 9 + 3}))  # by ((2,3))
     assert len(rings) >= 50
     assert all(r.order <= 64 for r in rings)
     return rings

@@ -52,8 +52,8 @@ def small_catalog():
     z12 = _z(12)
     from ringlab import ideal_generated
 
-    rings.append(quotient_ring(z12, ideal_generated(z12, {6}))[0])
-    rings.append(quotient_ring(z12, ideal_generated(z12, {4}))[0])
+    rings.append(quotient_ring(z12, ideal_generated(z12, {6})))
+    rings.append(quotient_ring(z12, ideal_generated(z12, {4})))
     rings.append(group_ring(_z(2), make_group([3])).ring)  # Z2 x F4
     return rings
 
@@ -91,7 +91,7 @@ def test_weakly_nil_neat_definitional_examples():
     ring = group_ring(_z(2), make_group([3])).ring
     verdict = is_weakly_nil_neat_definitional(ring)
     assert not verdict.ok
-    quot, _ = quotient_ring(ring, verdict.witness)
+    quot = quotient_ring(ring, verdict.witness)
     assert quot.order == 4  # the F4 image fails the elementwise scan
     assert not is_weakly_nil_clean_definitional(quot).ok
 
@@ -149,7 +149,7 @@ def test_weakly_nil_neat_criterion_examples():
     # the order-4 residue field of Z2[C3] is a field, hence weakly nil-neat
     view = group_ring(_z(2), make_group([3]))
     f4 = next(
-        quotient_ring(view.ring, m)[0]
+        quotient_ring(view.ring, m)
         for m in maximal_ideals(view.ring)
         if view.ring.order // len(m) == 4
     )
@@ -242,7 +242,7 @@ def _quotient_verdict_by_lattice(ring, decide):
     for ideal in enumerate_ideals(ring, cap=ring.order):
         if ideal.is_zero or ideal.is_whole:
             continue
-        if not decide(quotient_ring(ring, ideal)[0]).ok:
+        if not decide(quotient_ring(ring, ideal)).ok:
             return False, ideal.key
     return True, None
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import util
 from ringlab import (
     CapExceeded,
     DisagreementError,
@@ -27,7 +28,7 @@ from ringlab import (
 )
 from ringlab import ideals
 from ringlab.expr import evaluate
-from ringlab.ideals import _quotient_ring, minimal_generators
+from ringlab.ideals import minimal_generators
 
 
 def test_ideal_generated_examples():
@@ -84,7 +85,7 @@ def _maximal_ideals_by_lattice(ring):
         if ideal.is_zero:
             if is_field(ring):
                 out.append(ideal)
-        elif is_field(quotient_ring(ring, ideal)[0]):
+        elif is_field(quotient_ring(ring, ideal)):
             out.append(ideal)
     return out
 
@@ -107,8 +108,7 @@ def test_maximal_ideals_above_the_lattice_cap(label, count):
     assert len(maxima) == count
     assert len({m.key for m in maxima}) == count
     for m in maxima:
-        # _quotient_ring skips the projection's hom check: four order^2 gathers per ideal
-        assert is_field(_quotient_ring(ring, m)[0]), m
+        assert is_field(quotient_ring(ring, m)), m
     # J from units and idempotents, N from powers: no scan in common
     assert jacobson_radical(ring) == nilradical(ring)
 
@@ -223,22 +223,26 @@ def test_is_prime_ideal_examples():
 
 def test_quotient_ring_examples():
     z6 = make_zmod(6)
-    quot, proj = quotient_ring(z6, ideal_generated(z6, {3}))
+    ideal = ideal_generated(z6, {3})
+    quot = quotient_ring(z6, ideal)
     assert quot.order == 3 and validate_ring_axioms(quot).ok
-    assert proj.is_surjective()
+    assert util.coset_projection(z6, ideal, quot).is_surjective()
 
     z4 = make_zmod(4)
-    quot4, _ = quotient_ring(z4, ideal_generated(z4, {2}))
+    ideal4 = ideal_generated(z4, {2})
+    quot4 = quotient_ring(z4, ideal4)
     assert quot4.order == 2
     assert (np.asarray(quot4.mul.diagonal()) == np.arange(2)).all()  # boolean
+    util.coset_projection(z4, ideal4, quot4)
 
-    copy, proj0 = quotient_ring(z6, ideal_generated(z6, set()))
-    assert copy.order == 6 and proj0.is_surjective()
+    zero = ideal_generated(z6, set())
+    copy = quotient_ring(z6, zero)
+    assert copy.order == 6 and util.coset_projection(z6, zero, copy).is_surjective()
 
 
 def test_quotient_by_whole_ring_is_rejected():
     z6 = make_zmod(6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"Z6 \(order 6\) by the whole ring"):
         quotient_ring(z6, ideal_generated(z6, {1}))
 
 
@@ -246,7 +250,7 @@ def test_quotient_label_reparses():
     from ringlab import evaluate, parse_ring_expr
 
     z12 = make_zmod(12)
-    quot, _ = quotient_ring(z12, ideal_generated(z12, {6}))
+    quot = quotient_ring(z12, ideal_generated(z12, {6}))
     assert quot.label == "Z12/(6)"
     again = evaluate(parse_ring_expr(quot.label))
     assert again.order == quot.order
@@ -287,7 +291,7 @@ def test_nonzero_primes_are_maximal(n):
 @given(st.integers(min_value=2, max_value=30))
 def test_quotient_by_radical_is_semiprimitive(n):
     ring = make_zmod(n)
-    quot, _ = quotient_ring(ring, jacobson_radical(ring))
+    quot = quotient_ring(ring, jacobson_radical(ring))
     assert jacobson_radical(quot).key == (quot.zero,)
 
 

@@ -74,7 +74,7 @@ def test_classify_ring_builds_each_minimal_quotient_once(monkeypatch):
     # Z2^6: six minimal ideals, all with nil-clean quotients; Z9 x Z3: the
     # scan stops at 3Z9 x 0, the second minimal ideal.  R/N and R/J for
     # the criteria add two quotients to each.
-    calls = _record_calls(monkeypatch, classify, "_quotient_ring")
+    calls = _record_calls(monkeypatch, classify, "quotient_ring")
     for label, expected in (("Z2 x Z2 x Z2 x Z2 x Z2 x Z2", 8), ("Z9 x Z3", 4)):
         ring = evaluate(parse_ring_expr(label))
         calls.clear()
@@ -91,7 +91,7 @@ def test_weakly_nil_neat_decides_each_minimal_quotient_through_the_public_decide
 
 def test_neat_deciders_build_each_minimal_quotient_once(monkeypatch):
     ring = evaluate(parse_ring_expr("Z2 x Z2 x Z2 x Z2 x Z2 x Z2"))
-    calls = _record_calls(monkeypatch, classify, "_quotient_ring")
+    calls = _record_calls(monkeypatch, classify, "quotient_ring")
     assert is_nil_neat_definitional(ring).ok
     assert is_weakly_nil_neat_definitional(ring).ok
     assert len(calls) == len(minimal_ideals(ring)) == 6

@@ -1,9 +1,13 @@
 """Ring kernel: constructors, element classes, axiom validation."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ringlab
 import util
 from ringlab import (
     CapExceeded,
@@ -13,9 +17,11 @@ from ringlab import (
     characteristic,
     direct_product,
     element_classes,
+    evaluate,
     group_ring,
     make_group,
     make_zmod,
+    parse_ring_expr,
     ring_isomorphic,
     validate_ring_axioms,
 )
@@ -72,6 +78,31 @@ def test_direct_product_identity_and_idempotents():
     assert element_classes(prod).nilpotents == {0}
 
 
+@pytest.mark.parametrize("left, right", [
+    ("Z2", "Z3"),
+    ("Z4", "Z6"),
+    ("Z12/(6)", "Z5"),
+    ("Z3", "GR(Z2, C2)"),
+    ("GR(Z2, C2)", "Z12/(6)"),
+])
+def test_direct_product_tables_match_pair_reference(left, right):
+    r, s = evaluate(parse_ring_expr(left)), evaluate(parse_ring_expr(right))
+    prod = direct_product(r, s)
+    assert prod.label == f"{left} x {right}"
+    ns = s.order
+    for name in ("add", "mul"):
+        a, b = getattr(r, name), getattr(s, name)
+        # pair (i, j) has index i*|S| + j, in Python ints
+        want = [
+            [int(a[i, k]) * ns + int(b[j, l]) for k in range(r.order) for l in range(ns)]
+            for i in range(r.order)
+            for j in range(ns)
+        ]
+        table = getattr(prod, name)
+        assert table.tolist() == want, name
+        assert table.dtype == np.int16  # the table dtype of every order up to 32767
+
+
 def test_direct_product_cap():
     with pytest.raises(CapExceeded):
         direct_product(make_zmod(10), make_zmod(10), cap=64)
@@ -111,6 +142,17 @@ def test_element_classes_check_survives_optimize_flag():
     done = util.run_python("-O", "-c", code, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "raised"
+
+
+def test_package_has_no_assert_statements():
+    # ``python -O`` strips asserts, so sanity checks in the package must raise
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(ringlab.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found
 
 
 def test_characteristic():
@@ -165,13 +207,21 @@ def test_validate_rejects_order_one_table():
         RingTable(table, table, zero=0, one=0, label="0")
 
 
-def test_ring_hom_rejects_non_hom():
-    z4 = make_zmod(4)
-    z2 = make_zmod(2)
-    with pytest.raises(ValueError):
-        RingHom(z4, z2, [0, 1, 1, 0])  # not additive
-    proj = RingHom(z4, z2, [0, 1, 0, 1])
-    assert proj.is_surjective()
+@pytest.mark.parametrize("domain, image, message", [
+    ("Z4", [0, 1, 0], "must assign an image to every domain element"),
+    ("Z4", [0, 1, 0, 2], "image index out of range"),
+    ("Z4", [0, 0, 0, 0], "does not send 1 to 1"),
+    ("Z4", [0, 1, 1, 0], r"not additive at \(1, 1\)"),  # 1 + 1 = 2 goes to 1
+    # the coefficient of 1 in Z2[C2] is additive and keeps 1, but g * g = 1
+    ("GR(Z2, C2)", [0, 1, 0, 1], r"not multiplicative at \(2, 2\)"),
+], ids=["wrong-shape", "out-of-range", "one", "not-additive", "not-multiplicative"])
+def test_ring_hom_rejects_non_hom(domain, image, message):
+    with pytest.raises(ValueError, match=message):
+        RingHom(evaluate(parse_ring_expr(domain)), make_zmod(2), image)
+
+
+def test_ring_hom_accepts_reduction_mod_2():
+    assert RingHom(make_zmod(4), make_zmod(2), [0, 1, 0, 1]).is_surjective()
 
 
 @given(st.integers(min_value=2, max_value=48))

@@ -69,6 +69,18 @@ ABELIAN_GROUP_COUNTS = {
 }
 
 
+def coset_projection(ring, ideal, quot) -> ringlab.RingHom:
+    """The projection R -> R/I from its definition, checked as a hom.
+
+    x goes to the quotient index of the least member of its coset x + I,
+    the cosets being indexed in the order of their least members;
+    ``RingHom`` raises unless the map preserves +, * and 1.
+    """
+    least = [min(int(ring.add[x, i]) for i in ideal.key) for x in range(ring.order)]
+    index = {rep: k for k, rep in enumerate(sorted(set(least)))}
+    return ringlab.RingHom(ring, quot, [index[rep] for rep in least])
+
+
 def run_python(*argv: str, timeout: float) -> subprocess.CompletedProcess:
     """Run a fresh interpreter on ``argv`` with this ringlab importable.
 
