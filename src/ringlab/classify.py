@@ -43,7 +43,6 @@ from .ideals import (
 from .rings import (
     CapExceeded,
     DisagreementError,
-    RingHom,
     RingTable,
     _memo,
     additive_orders,
@@ -332,30 +331,31 @@ def _element_profiles(ring: RingTable) -> list[tuple[int, bool, bool, bool]]:
     ]
 
 
-def ring_isomorphic(
-    left: RingTable, right: RingTable, *, cap: int = 256
-) -> tuple[bool, Optional[RingHom]]:
-    """Backtracking search for a bijective ring homomorphism.
+def ring_isomorphic(left: RingTable, right: RingTable, *, cap: int = 256) -> Optional[np.ndarray]:
+    """An isomorphism ``left -> right`` as the index array of its images,
+    or ``None`` if the rings are not isomorphic.
 
     Pruned by cheap invariants first (order, characteristic, per-element
     profiles of additive order / nilpotency / idempotency / invertibility,
     ideal count), then extends a partial map generator by generator with
     full closure propagation, so most of the table is forced rather than
-    guessed.
+    guessed.  Propagation checks every newly mapped element against every
+    mapped one in both tables, and no image is used twice, so a total map
+    is a bijection preserving 0, 1, + and * by construction.
     """
     if left.order != right.order:
-        return False, None
+        return None
     n = left.order
     if n > cap:
         raise CapExceeded(f"isomorphism search capped at order {cap}, got {n}")
     if characteristic(left) != characteristic(right):
-        return False, None
+        return None
     prof_l = _element_profiles(left)
     prof_r = _element_profiles(right)
     if sorted(prof_l) != sorted(prof_r):
-        return False, None
+        return None
     if len(enumerate_ideals(left, cap=n)) != len(enumerate_ideals(right, cap=n)):
-        return False, None
+        return None
 
     candidates = {
         x: [y for y in range(n) if prof_r[y] == prof_l[x]] for x in range(n)
@@ -404,11 +404,8 @@ def ring_isomorphic(
     fmap[left.one] = right.one
     used[right.zero] = used[right.one] = True
     if not propagate(fmap, used, [left.zero, left.one]):
-        return False, None
-    found = backtrack(fmap, used)
-    if found is None:
-        return False, None
-    return True, RingHom(left, right, found)
+        return None
+    return backtrack(fmap, used)
 
 
 def encode_witness(witness):

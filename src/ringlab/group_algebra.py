@@ -6,19 +6,21 @@ exponent tuples enumerated lexicographically.  The group ring ``RG``
 is a :class:`~ringlab.rings.RingTable` whose element index is the
 mixed-radix encoding of the coefficient tuple (base ``|R|``, group
 element 0 least significant), so the copy of R embedded on the identity
-coefficient occupies indices ``0 .. |R|-1`` unchanged.
-:func:`group_ring` builds RG's tables straight from those of R.
+coefficient occupies indices ``0 .. |R|-1`` unchanged.  A coefficient
+is a base-``|R|`` digit of the index, so no coefficient table is kept.
+:func:`group_ring` builds RG's tables straight from those of R, and
+:func:`karpilovsky_radical` reads J(RG) off R and G alone.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .ideals import IdealSet, ideal_generated, jacobson_radical
-from .rings import DEFAULT_ORDER_CAP, CapExceeded, RingHom, RingTable, _product_table, _readonly, _row_blocks, _table_dtype
+from .rings import DEFAULT_ORDER_CAP, CapExceeded, RingTable, _product_table, _row_blocks, _table_dtype
 
 
 def _factorint(n: int) -> dict[int, int]:
@@ -120,23 +122,13 @@ def make_group(orders: Iterable[int]) -> AbelianGroup:
     return AbelianGroup(factors)
 
 
-class GroupRingView:
-    """A constructed group ring RG with its coefficient bookkeeping.
+class GroupRingView(NamedTuple):
+    """A constructed group ring RG with the base ring R and group G it
+    was built from."""
 
-    ``coeff_of[i, j]`` is the base-ring index of the coefficient of the
-    j-th group element in the i-th ring element.
-    """
-
-    __slots__ = ("ring", "base", "group", "coeff_of")
-
-    def __init__(self, ring: RingTable, base: RingTable, group: AbelianGroup, coeff_of: np.ndarray):
-        self.ring = ring
-        self.base = base
-        self.group = group
-        self.coeff_of = _readonly(coeff_of)
-
-    def __repr__(self) -> str:
-        return f"GroupRingView({self.ring.label})"
+    ring: RingTable
+    base: RingTable
+    group: AbelianGroup
 
 
 def group_ring_order(n: int, m: int, *, cap: int) -> int:
@@ -197,16 +189,7 @@ def group_ring(base: RingTable, group: AbelianGroup, *, cap: int = DEFAULT_ORDER
                 idx = mul[rows, :lo] + col[rows, None]  # formed in intp, col's dtype
                 mul[rows, c * lo : (c + 1) * lo] = np.take(flat, idx)
     ring = RingTable(add, mul, zero=0, one=int(base.one), label=f"GR({base.label}, {group.label})")
-    return GroupRingView(ring, base, group, digits.T)
-
-
-def augmentation(view: GroupRingView) -> RingHom:
-    """The coefficient-sum homomorphism RG -> R."""
-    base = view.base
-    total = view.coeff_of[:, 0].astype(np.int64)
-    for j in range(1, view.group.order):
-        total = base.add[total, view.coeff_of[:, j]].astype(np.int64)
-    return RingHom(view.ring, base, total)
+    return GroupRingView(ring, base, group)
 
 
 def karpilovsky_radical(view: GroupRingView) -> IdealSet:

@@ -68,9 +68,6 @@ class IdealSet:
     def __len__(self) -> int:
         return int(self.members.size)
 
-    def __contains__(self, index: int) -> bool:
-        return bool(np.isin(index, self.members))
-
     @property
     def key(self) -> tuple[int, ...]:
         return tuple(map(int, self.members))

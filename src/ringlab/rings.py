@@ -373,39 +373,3 @@ def validate_ring_axioms(r: RingTable) -> ValidationReport:
         out.append(Violation("distributivity", distrib))
     return ValidationReport(out)
 
-
-class RingHom:
-    """A total map between two rings, checked to preserve +, * and 1."""
-
-    __slots__ = ("domain", "codomain", "map")
-
-    def __init__(self, domain: RingTable, codomain: RingTable, map_):
-        m = np.asarray(map_).astype(np.int64, copy=True)
-        if m.shape != (domain.order,):
-            raise ValueError("hom map must assign an image to every domain element")
-        if m.min() < 0 or m.max() >= codomain.order:
-            raise ValueError("hom image index out of range")
-        if int(m[domain.one]) != codomain.one:
-            raise ValueError("map does not send 1 to 1")
-        fa = m[domain.add]
-        ga = codomain.add[np.ix_(m, m)]
-        if not np.array_equal(fa, ga):
-            a, b = np.argwhere(fa != ga)[0]
-            raise ValueError(f"map is not additive at ({int(a)}, {int(b)})")
-        fm = m[domain.mul]
-        gm = codomain.mul[np.ix_(m, m)]
-        if not np.array_equal(fm, gm):
-            a, b = np.argwhere(fm != gm)[0]
-            raise ValueError(f"map is not multiplicative at ({int(a)}, {int(b)})")
-        self.domain = domain
-        self.codomain = codomain
-        self.map = _readonly(m)
-
-    def __call__(self, index: int) -> int:
-        return int(self.map[index])
-
-    def is_surjective(self) -> bool:
-        return len(np.unique(self.map)) == self.codomain.order
-
-    def __repr__(self) -> str:
-        return f"RingHom({self.domain.label} -> {self.codomain.label})"

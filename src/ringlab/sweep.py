@@ -107,16 +107,17 @@ def _evaluate_pair(args) -> tuple[dict, dict]:
     """Worker body: one (ring expr, group factors) pair to its record and
     to its definitional verdicts in the cache's value shape (see
     :func:`ringlab.cache.is_sweep_verdict`), taken from ``args`` when
-    cached and computed otherwise."""
-    expr, factors, config_dict, verdicts = args
-    config = SweepConfig(**config_dict, jobs=1)
+    cached and computed otherwise.  ``args`` is ``(expr, factors,
+    order_cap, cached)``; :func:`run_sweep` has already dropped or
+    refused every pair above a cap."""
+    expr, factors, order_cap, verdicts = args
     started = time.perf_counter()
-    ring = _base_ring(expr, config.order_cap)
+    ring = _base_ring(expr, order_cap)
     group = make_group(factors)
     size = ring.order**group.order
 
     if verdicts is None:
-        view = group_ring(ring, group, cap=config.max_groupring_order)
+        view = group_ring(ring, group, cap=order_cap)
         neat = is_weakly_nil_neat_definitional(view.ring)
         clean = is_weakly_nil_clean_definitional(view.ring)
         verdicts = {
@@ -172,7 +173,6 @@ class SweepReport:
 def run_sweep(config: SweepConfig, *, cache: VerdictCache | None = None) -> SweepReport:
     config.validate()
     tasks = []
-    config_dict = config.to_dict()
     # |R| >= 2, so a group of order above log2(max_groupring_order) forms no pair
     groups = group_catalog(min(config.max_group_order, config.max_groupring_order.bit_length() - 1))
     for expr in ring_catalog(config):
@@ -185,7 +185,7 @@ def run_sweep(config: SweepConfig, *, cache: VerdictCache | None = None) -> Swee
             if size > config.order_cap:  # fail before any pair is built, not when the scan reaches it
                 raise CapExceeded(f"{key} of order {size} exceeds cap {config.order_cap}")
             cached = cache.get(key) if cache is not None else None
-            tasks.append((key, (expr, group.factors, config_dict, cached)))
+            tasks.append((key, (expr, group.factors, config.order_cap, cached)))
 
     workers = min(config.jobs, len(tasks))
     if workers > 1:
@@ -214,7 +214,7 @@ def run_sweep(config: SweepConfig, *, cache: VerdictCache | None = None) -> Swee
         "theorem_condition_counts": conditions,
         "weakly_nil_neat_count": sum(1 for r in records if r["wnn_definitional"]),
     }
-    return SweepReport(version=__version__, config=config_dict, records=records, summary=summary)
+    return SweepReport(version=__version__, config=config.to_dict(), records=records, summary=summary)
 
 
 def _expr_order(expr: RingExpr) -> int:

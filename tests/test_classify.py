@@ -227,11 +227,13 @@ def test_predicate_cross_checked_on_z9_c3():
 
 
 def test_ring_isomorphic_examples():
-    ok, hom = ring_isomorphic(group_ring(_z(3), make_group([2])).ring, _prod(3, 3))
-    assert ok and hom.is_surjective() and hom.domain.order == hom.codomain.order
-    assert ring_isomorphic(_z(4), _prod(2, 2)) == (False, None)  # characteristic 4 vs 2
-    ok6, _ = ring_isomorphic(_z(6), _prod(2, 3))
-    assert ok6
+    rg, z3z3 = group_ring(_z(3), make_group([2])).ring, _prod(3, 3)
+    iso = ring_isomorphic(rg, z3z3)
+    assert iso is not None and len(set(util.ring_hom(rg, z3z3, iso))) == z3z3.order
+    assert ring_isomorphic(_z(4), _prod(2, 2)) is None  # characteristic 4 vs 2
+    z6, z2z3 = _z(6), _prod(2, 3)
+    iso6 = ring_isomorphic(z6, z2z3)
+    assert iso6 is not None and len(set(util.ring_hom(z6, z2z3, iso6))) == z2z3.order
     with pytest.raises(CapExceeded):
         ring_isomorphic(_z(2), _z(2), cap=1)
 

@@ -226,7 +226,7 @@ def test_quotient_ring_examples():
     ideal = ideal_generated(z6, {3})
     quot = quotient_ring(z6, ideal)
     assert quot.order == 3 and validate_ring_axioms(quot).ok
-    assert util.coset_projection(z6, ideal, quot).is_surjective()
+    assert len(set(util.coset_projection(z6, ideal, quot))) == quot.order
 
     z4 = make_zmod(4)
     ideal4 = ideal_generated(z4, {2})
@@ -237,7 +237,7 @@ def test_quotient_ring_examples():
 
     zero = ideal_generated(z6, set())
     copy = quotient_ring(z6, zero)
-    assert copy.order == 6 and util.coset_projection(z6, zero, copy).is_surjective()
+    assert copy.order == 6 and len(set(util.coset_projection(z6, zero, copy))) == 6
 
 
 def test_quotient_by_whole_ring_is_rejected():

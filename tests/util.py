@@ -69,16 +69,57 @@ ABELIAN_GROUP_COUNTS = {
 }
 
 
-def coset_projection(ring, ideal, quot) -> ringlab.RingHom:
+def ring_hom(domain, codomain, image) -> list[int]:
+    """``image`` as a list, after checking that x -> image[x] is a ring
+    homomorphism ``domain -> codomain``.
+
+    Raises ``ValueError`` unless every element has an image in range, 1
+    goes to 1, and + and * are preserved on every pair; a failing pair
+    is the first in row-major order, additivity checked first.
+    """
+    f = [int(y) for y in image]
+    if len(f) != domain.order:
+        raise ValueError("hom map must assign an image to every domain element")
+    if not all(0 <= y < codomain.order for y in f):
+        raise ValueError("hom image index out of range")
+    if f[domain.one] != codomain.one:
+        raise ValueError("map does not send 1 to 1")
+    for name, dom, cod in (
+        ("additive", domain.add.tolist(), codomain.add.tolist()),
+        ("multiplicative", domain.mul.tolist(), codomain.mul.tolist()),
+    ):
+        for a in range(domain.order):
+            for b in range(domain.order):
+                if f[dom[a][b]] != cod[f[a]][f[b]]:
+                    raise ValueError(f"map is not {name} at ({a}, {b})")
+    return f
+
+
+def coset_projection(ring, ideal, quot) -> list[int]:
     """The projection R -> R/I from its definition, checked as a hom.
 
     x goes to the quotient index of the least member of its coset x + I,
     the cosets being indexed in the order of their least members;
-    ``RingHom`` raises unless the map preserves +, * and 1.
+    :func:`ring_hom` raises unless the map preserves +, * and 1.
     """
     least = [min(int(ring.add[x, i]) for i in ideal.key) for x in range(ring.order)]
     index = {rep: k for k, rep in enumerate(sorted(set(least)))}
-    return ringlab.RingHom(ring, quot, [index[rep] for rep in least])
+    return ring_hom(ring, quot, [index[rep] for rep in least])
+
+
+def augmentation_kernel(view) -> list[int]:
+    """The kernel of the augmentation Z_n[G] -> Z_n, sum a_g g -> sum a_g:
+    the x whose base-n digits, the coefficients a_g, sum to 0 mod n."""
+    n = view.base.order
+
+    def digit_sum(x: int) -> int:
+        total = 0
+        while x:
+            x, digit = divmod(x, n)
+            total += digit
+        return total
+
+    return [x for x in range(view.ring.order) if digit_sum(x) % n == 0]
 
 
 def run_python(*argv: str, timeout: float) -> subprocess.CompletedProcess:
