@@ -4,14 +4,16 @@ Grammar (whitespace-insensitive)::
 
     ring    := product ( '/' '(' INT (',' INT)* ')' )*
     product := atom ( 'x' atom )*
-    atom    := 'Z' INT | 'GR' '(' ring ',' group ')'
+    atom    := 'Z' INT | 'GR' '(' ring ',' group ')' | '(' ring ')'
     group   := '1' | 'C' INT ('x' 'C' INT)*
 
 'x' is left-associative.  A quotient suffix binds loosest, so
 ``Z2 x Z12/(6)`` quotients the evaluated product; its generators are
-element indices of that ring.  Labels produced by the constructors
-(``Z6``, ``Z2 x Z3``, ``GR(Z3, C2)``, ``Z12/(6)``) re-parse to
-expressions that evaluate to identical tables.
+element indices of that ring.  Parentheses group a quotient as a
+product factor: ``(Z12/(6)) x Z5``.  Labels produced by the
+constructors (``Z6``, ``Z2 x Z3``, ``GR(Z3, C2)``, ``Z12/(6)``,
+``(Z12/(6)) x Z5``) re-parse to expressions that evaluate to identical
+tables.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Union
 
 from .group_algebra import group_ring, group_ring_order, make_group
 from .ideals import ideal_generated, quotient_ring
-from .rings import DEFAULT_ORDER_CAP, RingLabError, RingTable, direct_product, make_zmod
+from .rings import DEFAULT_ORDER_CAP, RingLabError, RingTable, _product_label, direct_product, make_zmod
 
 
 class ExprSyntaxError(RingLabError):
@@ -60,8 +62,9 @@ class GroupRingExpr:
 RingExpr = Union[ZmodExpr, ProductExpr, QuotientExpr, GroupRingExpr]
 
 #: Deepest expression tree accepted, counting a ``Zn`` leaf as depth 1
-#: and each product, quotient suffix or ``GR(...)`` as one more level;
-#: parsing, printing and evaluating all recurse along the tree.
+#: and each product, quotient suffix, ``GR(...)`` or ``(...)`` as one
+#: more level; parsing, printing and evaluating all recurse along the
+#: tree.
 MAX_EXPR_DEPTH = 100
 
 _TOKEN = re.compile(r"GR|Z|C|x|\d+|[(),/]|\s+")
@@ -89,7 +92,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.length = length
-        self.open_groups = 0  # GR( entered and not yet closed
+        self.open_levels = 0  # GR( or ( entered and not yet closed
 
     def check_depth(self, depth: int, pos: int) -> None:
         if depth > MAX_EXPR_DEPTH:
@@ -142,21 +145,27 @@ class _Parser:
         if kind == "Z":
             self.expect("Z")
             return ZmodExpr(self.parse_int()), 1
-        if kind == "GR":
-            # the leaf inside k open GR( levels sits at depth k + 1 at least;
-            # checked on the way down, so the parser's own recursion is bounded
-            self.open_groups += 1
-            self.check_depth(self.open_groups + 1, self.pos())
+        if kind not in ("GR", "("):
+            found = self.tokens[self.i][1] if self.i < len(self.tokens) else "end of input"
+            raise ExprSyntaxError(
+                f"expected a ring ('Z<n>', 'GR(...)' or '(...)'), found {found!r}", self.pos()
+            )
+        # the leaf inside k open GR( or ( levels sits at depth k + 1 at least;
+        # checked on the way down, so the parser's own recursion is bounded
+        self.open_levels += 1
+        self.check_depth(self.open_levels + 1, self.pos())
+        if kind == "(":
+            self.expect("(")
+            node, depth = self.parse_ring()
+        else:
             self.expect("GR")
             self.expect("(")
             base, depth = self.parse_ring()
             self.expect(",")
-            orders = self.parse_group()
-            self.expect(")")
-            self.open_groups -= 1
-            return GroupRingExpr(base, orders), depth + 1
-        found = self.tokens[self.i][1] if self.i < len(self.tokens) else "end of input"
-        raise ExprSyntaxError(f"expected a ring ('Z<n>' or 'GR(...)'), found {found!r}", self.pos())
+            node = GroupRingExpr(base, self.parse_group())
+        self.expect(")")
+        self.open_levels -= 1
+        return node, depth + 1
 
     def parse_group(self) -> tuple[int, ...]:
         if self.peek() == "INT":
@@ -193,14 +202,15 @@ def parse_ring_expr(text: str) -> RingExpr:
 
 
 def canonical_label(expr: RingExpr) -> str:
-    """Print an expression with its group factors canonicalized.
+    """Print an expression with its group factors canonicalized and a
+    quotient factor on the left of a product in parentheses.
 
     The label re-parses, and is the sweep's cache key.
     """
     if isinstance(expr, ZmodExpr):
         return f"Z{expr.n}"
     if isinstance(expr, ProductExpr):
-        return f"{canonical_label(expr.left)} x {canonical_label(expr.right)}"
+        return _product_label(canonical_label(expr.left), canonical_label(expr.right))
     if isinstance(expr, QuotientExpr):
         return f"{canonical_label(expr.base)}/({','.join(map(str, expr.gens))})"
     if isinstance(expr, GroupRingExpr):

@@ -95,17 +95,22 @@ class IdealSet:
         return f"IdealSet({self.label}, {{{inner}}})"
 
 
-def _check_ideal(ring: RingTable, members: np.ndarray) -> np.ndarray:
-    """Raise ``ValueError`` unless ``members`` is an ideal; return its member mask."""
+def _check_ideal(ring: RingTable, members: np.ndarray) -> None:
+    """Raise ``ValueError`` unless ``members`` is an ideal.
+
+    Both closure checks go one row block at a time, so their temporaries
+    stay small however large the ideal.
+    """
     member = np.zeros(ring.order, dtype=bool)
     member[members] = True
     if not member[ring.zero]:
         raise ValueError("ideal must contain zero")
-    if not member[ring.add[np.ix_(members, members)]].all():
-        raise ValueError("set is not closed under addition")
-    if not member[ring.mul[:, members]].all():
-        raise ValueError("set is not closed under ambient multiplication")
-    return member
+    for rows in _row_blocks(members.size, members.size):
+        if not member[ring.add[np.ix_(members[rows], members)]].all():
+            raise ValueError("set is not closed under addition")
+    for rows in _row_blocks(ring.order, members.size):
+        if not member[ring.mul[rows][:, members]].all():
+            raise ValueError("set is not closed under ambient multiplication")
 
 
 def _principal(ring: RingTable, x: int) -> np.ndarray:
@@ -219,8 +224,6 @@ def quotient_ring(ring: RingTable, ideal: IdealSet) -> RingTable:
 
 def is_field(ring: RingTable) -> bool:
     """Every nonzero element is a unit."""
-    if ring.order < 2:
-        return False
     return len(element_classes(ring).units | {ring.zero}) == ring.order
 
 
@@ -293,17 +296,6 @@ def minimal_ideals(ring: RingTable) -> tuple[IdealSet, ...]:
             covered[found[-1]] = True
     found.sort(key=lambda m: (m.size, tuple(m)))
     return tuple(IdealSet(ring, m, validate=False) for m in found)
-
-
-def is_prime_ideal(ring: RingTable, ideal: IdealSet) -> bool:
-    """True iff a, b outside the ideal implies ab outside the ideal."""
-    if not isinstance(ideal, IdealSet) or (ideal.order, ideal.label) != (ring.order, ring.label):
-        raise ValueError("expected an ideal of this ring")
-    member = _check_ideal(ring, ideal.members)
-    if ideal.is_whole:
-        raise ValueError("the whole ring is not a candidate prime ideal")
-    comp = np.flatnonzero(~member)
-    return not member[ring.mul[np.ix_(comp, comp)]].any()
 
 
 @_memo

@@ -72,16 +72,19 @@ class RingTable:
         Indices of the additive and multiplicative identities.
     label:
         Canonical descriptor; re-parses through the expression grammar.
-    check:
-        Cheap structural sanity (shape, index range, order >= 2,
-        ``one != zero``).  Pass ``False`` only to build deliberately
-        broken tables for :func:`validate_ring_axioms`; full axiom
-        checking always lives there, never here.
+
+    The constructor always runs the cheap structural checks (square
+    tables of equal shape, order >= 2, zero and one in range and
+    distinct, every entry in range) and raises ``ValueError`` on the
+    first that fails.  The ring axioms are not checked, so a table that
+    passes can still be corrupted; :func:`element_classes` and the
+    maximal ideals raise :class:`DisagreementError` on the corruptions
+    their own sanity facts catch.
     """
 
     __slots__ = ("order", "add", "mul", "zero", "one", "label", "neg", "_facts")
 
-    def __init__(self, add, mul, zero: int, one: int, label: str, *, check: bool = True):
+    def __init__(self, add, mul, zero: int, one: int, label: str):
         add = np.asarray(add)
         mul = np.asarray(mul)
         if add.ndim != 2 or add.shape != mul.shape or add.shape[0] != add.shape[1]:
@@ -92,16 +95,15 @@ class RingTable:
         mul = mul.astype(dt, copy=False)
         zero = int(zero)
         one = int(one)
-        if check:
-            if n < 2:
-                raise ValueError("rings of order < 2 are rejected: the identity must be non-zero")
-            if not (0 <= zero < n and 0 <= one < n):
-                raise ValueError("zero/one index out of range")
-            if zero == one:
-                raise ValueError("one must differ from zero")
-            for name, t in (("add", add), ("mul", mul)):
-                if t.size and (t.min() < 0 or t.max() >= n):
-                    raise ValueError(f"{name} table entry out of range")
+        if n < 2:
+            raise ValueError("rings of order < 2 are rejected: the identity must be non-zero")
+        if not (0 <= zero < n and 0 <= one < n):
+            raise ValueError("zero/one index out of range")
+        if zero == one:
+            raise ValueError("one must differ from zero")
+        for name, t in (("add", add), ("mul", mul)):
+            if t.min() < 0 or t.max() >= n:
+                raise ValueError(f"{name} table entry out of range")
         self.order = n
         self.zero = zero
         self.one = one
@@ -194,7 +196,9 @@ def direct_product(r: RingTable, s: RingTable, *, cap: int = DEFAULT_ORDER_CAP) 
     """Componentwise product ring on row-major pair indices ``i*|S| + j``.
 
     Row-major pairing makes the construction strictly associative at the
-    index level, so labels like ``"Z2 x Z3 x Z2"`` are unambiguous.
+    index level, so labels like ``"Z2 x Z3 x Z2"`` are unambiguous.  A
+    quotient on the left is labelled in parentheses, as in
+    ``"(Z12/(6)) x Z5"`` (see :func:`_product_label`).
     """
     n = r.order * s.order
     if n > cap:
@@ -206,8 +210,31 @@ def direct_product(r: RingTable, s: RingTable, *, cap: int = DEFAULT_ORDER_CAP) 
         _product_table(r.mul, s.mul, dt),
         zero=r.zero * ns + s.zero,
         one=r.one * ns + s.one,
-        label=f"{r.label} x {s.label}",
+        label=_product_label(r.label, s.label),
     )
+
+
+def _product_label(left: str, right: str) -> str:
+    """The canonical label ``left x right`` of a product.
+
+    A quotient suffix binds loosest, so a left label with a ``/``
+    outside every parenthesis goes in parentheses.  A right label that
+    opens with such a group, ``(Q) x ...``, takes ``left`` into it as
+    ``(left x Q) x ...``: the same ring, since pairing is associative at
+    the index level, and the form that label re-parses and prints to.
+    """
+    if right.startswith("("):
+        depth = 0
+        for end, ch in enumerate(right):
+            depth += (ch == "(") - (ch == ")")
+            if depth == 0:
+                return f"({_product_label(left, right[1:end])}){right[end + 1:]}"
+    depth = 0
+    for ch in left:
+        depth += (ch == "(") - (ch == ")")
+        if ch == "/" and depth == 0:
+            return f"({left}) x {right}"
+    return f"{left} x {right}"
 
 
 def _nilpotent_mask(r: RingTable) -> np.ndarray:
@@ -278,98 +305,3 @@ def additive_orders(r: RingTable) -> np.ndarray:
             break
         cur = r.add[cur, idx]
     return out
-
-
-@dataclass(frozen=True)
-class Violation:
-    axiom: str
-    witness: tuple
-
-
-@dataclass
-class ValidationReport:
-    violations: list[Violation]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def __repr__(self) -> str:
-        if self.ok:
-            return "ValidationReport(ok)"
-        body = "; ".join(f"{v.axiom} at {v.witness}" for v in self.violations)
-        return f"ValidationReport({body})"
-
-
-def _first_bad_triple(bad: np.ndarray, row_offset: int) -> tuple:
-    a, b, c = np.argwhere(bad)[0]
-    return (int(a) + row_offset, int(b), int(c))
-
-
-def validate_ring_axioms(r: RingTable) -> ValidationReport:
-    """Exhaustively check every commutative-unital-ring axiom.
-
-    Violations are report content, not exceptions; each violated axiom
-    is listed once with a witnessing element/pair/triple.  Associativity
-    and distributivity are O(n^3) and checked in row blocks to bound
-    memory.
-    """
-    out: list[Violation] = []
-    add, mul, n = r.add, r.mul, r.order
-
-    if n < 2 or r.zero == r.one:
-        out.append(Violation("identity distinct from zero (order >= 2)", ()))
-    in_range = True
-    for name, t in (("+", add), ("*", mul)):
-        if t.min() < 0 or t.max() >= n:
-            bad = np.argwhere((t < 0) | (t >= n))[0]
-            out.append(Violation(f"totality of {name}", (int(bad[0]), int(bad[1]))))
-            in_range = False
-    if not in_range:
-        return ValidationReport(out)  # index-based checks would be garbage
-
-    for name, t in (("+", add), ("*", mul)):
-        if not np.array_equal(t, t.T):
-            bad = np.argwhere(t != t.T)[0]
-            out.append(Violation(f"commutativity of {name}", (int(bad[0]), int(bad[1]))))
-
-    idx = np.arange(n)
-    if not np.array_equal(add[r.zero], idx):
-        a = int(np.argwhere(add[r.zero] != idx)[0][0])
-        out.append(Violation("zero is the additive identity", (a,)))
-    no_inv = ~(add == r.zero).any(axis=1)
-    if no_inv.any():
-        out.append(Violation("additive inverses exist", (int(idx[no_inv][0]),)))
-    if not np.array_equal(mul[r.one], idx):
-        a = int(np.argwhere(mul[r.one] != idx)[0][0])
-        out.append(Violation("one is the multiplicative identity", (a,)))
-
-    assoc_add = assoc_mul = distrib = None
-    for rows in _row_blocks(n, n * n):
-        a0 = rows.start
-        rows_a = add[rows]
-        rows_m = mul[rows]
-        if assoc_add is None:
-            bad = add[rows_a, :] != rows_a[:, add]  # (a+b)+c vs a+(b+c)
-            if bad.any():
-                assoc_add = _first_bad_triple(bad, a0)
-        if assoc_mul is None:
-            bad = mul[rows_m, :] != rows_m[:, mul]
-            if bad.any():
-                assoc_mul = _first_bad_triple(bad, a0)
-        if distrib is None:
-            lhs = rows_m[:, add]  # a*(b+c)
-            rhs = add[rows_m[:, :, None], rows_m[:, None, :]]  # a*b + a*c
-            bad = lhs != rhs
-            if bad.any():
-                distrib = _first_bad_triple(bad, a0)
-        if assoc_add is not None and assoc_mul is not None and distrib is not None:
-            break
-    if assoc_add is not None:
-        out.append(Violation("associativity of +", assoc_add))
-    if assoc_mul is not None:
-        out.append(Violation("associativity of *", assoc_mul))
-    if distrib is not None:
-        out.append(Violation("distributivity", distrib))
-    return ValidationReport(out)
-

@@ -113,9 +113,8 @@ def test_canonical_label_normalizes_groups():
     assert evaluate(expr).label == "GR(Z2, C2 x C3)"
 
 
-# The grammar has no ring parentheses, so only parser-expressible shapes
-# round-trip: left-nested products of atoms, quotient suffixes outermost,
-# arbitrary rings inside GR(...).
+# Shapes the parser builds: left-nested products of atoms, quotient
+# suffixes outermost, arbitrary rings inside GR(...).
 _zmods = st.integers(min_value=2, max_value=12).map(ZmodExpr)
 _orders = st.lists(st.integers(min_value=2, max_value=4), min_size=0, max_size=2).map(tuple)
 _gens = st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=2).map(tuple)
@@ -149,3 +148,40 @@ _exprs = _ring_strategy(st.one_of(_zmods, _group_rings))
 def test_pretty_parse_round_trip(expr):
     label = canonical_label(expr)
     assert canonical_label(parse_ring_expr(label)) == label
+
+
+# Any tree at all, e.g. a quotient or a product as the right factor of a
+# product, which the parser never builds; its label still re-prints as is.
+_trees = st.recursive(
+    _zmods,
+    lambda inner: st.one_of(
+        st.tuples(inner, inner).map(lambda t: ProductExpr(*t)),
+        st.tuples(inner, _gens).map(lambda t: QuotientExpr(*t)),
+        st.tuples(inner, _orders).map(lambda t: GroupRingExpr(*t)),
+    ),
+    max_leaves=8,
+)
+
+
+@given(_trees)
+def test_any_tree_prints_to_a_label_that_reprints_as_is(expr):
+    label = canonical_label(expr)
+    assert canonical_label(parse_ring_expr(label)) == label
+
+
+def test_parentheses_group_a_quotient_factor():
+    quotient = QuotientExpr(ZmodExpr(12), (6,))
+    assert parse_ring_expr("(Z12/(6)) x Z5") == ProductExpr(quotient, ZmodExpr(5))
+    assert parse_ring_expr("((Z2))") == ZmodExpr(2)
+    assert canonical_label(ProductExpr(quotient, ZmodExpr(5))) == "(Z12/(6)) x Z5"
+    assert evaluate(parse_ring_expr("(Z12/(6)) x Z5")).label == "(Z12/(6)) x Z5"
+
+
+def test_parentheses_count_toward_the_depth_bound():
+    # each ( opens a level and is checked on the way down, so even a very
+    # deep nesting fails at the bound instead of exhausting the stack
+    for levels in (MAX_EXPR_DEPTH, 100_000):
+        with pytest.raises(ExprSyntaxError, match="deeper than") as excinfo:
+            parse_ring_expr("(" * levels + "Z2" + ")" * levels)
+        assert excinfo.value.position == MAX_EXPR_DEPTH - 1
+    assert evaluate(parse_ring_expr("(" * (MAX_EXPR_DEPTH - 1) + "Z2" + ")" * (MAX_EXPR_DEPTH - 1))).order == 2

@@ -2,7 +2,7 @@
 
 import ast
 from pathlib import Path
-from types import ModuleType
+from types import ModuleType, SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,16 +14,18 @@ from ringlab import (
     CapExceeded,
     DisagreementError,
     RingTable,
+    canonical_label,
     characteristic,
     direct_product,
     element_classes,
     evaluate,
     group_ring,
+    ideal_generated,
     make_group,
     make_zmod,
     parse_ring_expr,
+    quotient_ring,
     ring_isomorphic,
-    validate_ring_axioms,
 )
 
 
@@ -77,17 +79,18 @@ def test_direct_product_identity_and_idempotents():
     assert element_classes(prod).nilpotents == {0}
 
 
-@pytest.mark.parametrize("left, right", [
-    ("Z2", "Z3"),
-    ("Z4", "Z6"),
-    ("Z12/(6)", "Z5"),
-    ("Z3", "GR(Z2, C2)"),
-    ("GR(Z2, C2)", "Z12/(6)"),
-])
-def test_direct_product_tables_match_pair_reference(left, right):
+@pytest.mark.parametrize("left, right, label", [
+    ("Z2", "Z3", "Z2 x Z3"),
+    ("Z4", "Z6", "Z4 x Z6"),
+    ("Z12/(6)", "Z5", "(Z12/(6)) x Z5"),
+    ("Z3", "GR(Z2, C2)", "Z3 x GR(Z2, C2)"),
+    ("GR(Z2, C2)", "Z12/(6)", "GR(Z2, C2) x Z12/(6)"),
+], ids=["Z2-Z3", "Z4-Z6", "Z12/(6)-Z5", "Z3-GR(Z2, C2)", "GR(Z2, C2)-Z12/(6)"])
+def test_direct_product_tables_match_pair_reference(left, right, label):
     r, s = evaluate(parse_ring_expr(left)), evaluate(parse_ring_expr(right))
     prod = direct_product(r, s)
-    assert prod.label == f"{left} x {right}"
+    assert prod.label == label
+    _assert_label_reparses(prod)
     ns = s.order
     for name in ("add", "mul"):
         a, b = getattr(r, name), getattr(s, name)
@@ -100,6 +103,44 @@ def test_direct_product_tables_match_pair_reference(left, right):
         table = getattr(prod, name)
         assert table.tolist() == want, name
         assert table.dtype == np.int16  # the table dtype of every order up to 32767
+
+
+def _assert_label_reparses(ring):
+    again = evaluate(parse_ring_expr(ring.label))
+    assert again.label == ring.label
+    assert again.add.tolist() == ring.add.tolist() and again.mul.tolist() == ring.mul.tolist(), ring.label
+    assert (again.zero, again.one) == (ring.zero, ring.one)
+    assert canonical_label(parse_ring_expr(ring.label)) == ring.label
+
+
+_LABEL_FACTORS = ["Z2", "Z3", "Z4", "Z5", "Z6", "GR(Z2, C2)"]
+_QUOTIENT_FACTORS = ["GR(Z3, C3)/(13)", "Z12/(6)", "Z8/(4)", "Z2 x Z12/(6)"]
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_products_with_a_quotient_factor_reparse(data):
+    # one quotient factor on the left or on the right of a product of
+    # up to two other factors; then maybe a quotient of the whole, and
+    # that as a factor again
+    quotient = evaluate(parse_ring_expr(data.draw(st.sampled_from(_QUOTIENT_FACTORS))))
+    texts = data.draw(st.lists(st.sampled_from(_LABEL_FACTORS), min_size=1, max_size=2))
+    others = [evaluate(parse_ring_expr(text)) for text in texts]
+    factors = [quotient, *others] if data.draw(st.booleans()) else [*others, quotient]
+    ring = factors[0]
+    for factor in factors[1:]:
+        if ring.order * factor.order <= 64:
+            ring = direct_product(ring, factor)
+    _assert_label_reparses(ring)
+    units = element_classes(ring).units
+    non_units = [x for x in range(ring.order) if x not in units]
+    if data.draw(st.booleans()):
+        ring = quotient_ring(ring, ideal_generated(ring, [data.draw(st.sampled_from(non_units))]))
+        _assert_label_reparses(ring)
+        other = evaluate(parse_ring_expr(data.draw(st.sampled_from(_LABEL_FACTORS))))
+        if ring.order * other.order <= 64:
+            pair = (ring, other) if data.draw(st.booleans()) else (other, ring)
+            _assert_label_reparses(direct_product(*pair))
 
 
 def test_direct_product_cap():
@@ -119,7 +160,7 @@ def test_element_classes_rejects_corrupted_table():
     z4 = make_zmod(4)
     mul = np.array(z4.mul)
     mul[0, 0] = 1  # 0*0 = 1: zero becomes a nilpotent unit
-    broken = RingTable(z4.add, mul, zero=0, one=1, label="Z4broken", check=False)
+    broken = RingTable(z4.add, mul, zero=0, one=1, label="Z4broken")
     with pytest.raises(DisagreementError, match="no nilpotent is a unit"):
         element_classes(broken)
 
@@ -132,7 +173,7 @@ def test_element_classes_check_survives_optimize_flag():
         "z4 = make_zmod(4)\n"
         "mul = np.array(z4.mul)\n"
         "mul[0, 0] = 1\n"
-        "broken = RingTable(z4.add, mul, zero=0, one=1, label='Z4broken', check=False)\n"
+        "broken = RingTable(z4.add, mul, zero=0, one=1, label='Z4broken')\n"
         "try:\n"
         "    element_classes(broken)\n"
         "except DisagreementError:\n"
@@ -183,17 +224,17 @@ def test_tables_are_immutable():
 def test_tables_in_table_dtype_are_frozen_not_copied():
     idx = np.arange(4)
     table = (np.add.outer(idx, idx) % 4).astype(np.int16)
-    ring = RingTable(table, table, zero=0, one=1, label="Z4", check=False)
+    ring = RingTable(table, table, zero=0, one=1, label="Z4")
     assert np.shares_memory(table, ring.add) and not table.flags.writeable
     wide = np.add.outer(idx, idx) % 4  # int64: converted into a fresh array
-    ring = RingTable(wide, wide, zero=0, one=1, label="Z4", check=False)
+    ring = RingTable(wide, wide, zero=0, one=1, label="Z4")
     assert not np.shares_memory(wide, ring.add) and wide.flags.writeable
     assert ring.add.dtype == np.int16 and not ring.add.flags.writeable
 
 
 def test_validate_constructed_rings_are_clean():
     for ring in (make_zmod(6), make_zmod(9), direct_product(make_zmod(2), make_zmod(4))):
-        assert validate_ring_axioms(ring).ok
+        assert util.axiom_violations(ring) == []
 
 
 def test_validate_flags_corrupted_multiplication():
@@ -201,22 +242,48 @@ def test_validate_flags_corrupted_multiplication():
     mul = np.array(z4.mul)
     mul[2, 2] = 1  # 2*2 = 1 breaks distributivity/associativity
     mul[2, 2] = 1
-    broken = RingTable(z4.add, mul, zero=0, one=1, label="Z4broken", check=False)
-    report = validate_ring_axioms(broken)
-    assert not report.ok
-    axioms = {v.axiom for v in report.violations}
+    broken = RingTable(z4.add, mul, zero=0, one=1, label="Z4broken")
+    violations = util.axiom_violations(broken)
+    assert violations
+    axioms = {axiom for axiom, _ in violations}
     assert axioms & {"associativity of *", "distributivity", "commutativity of *"}
-    witness = next(v for v in report.violations if v.axiom in ("associativity of *", "distributivity"))
-    assert len(witness.witness) == 3
+    witness = next(w for axiom, w in violations if axiom in ("associativity of *", "distributivity"))
+    assert len(witness) == 3
 
 
 def test_validate_rejects_order_one_table():
     table = np.zeros((1, 1), dtype=int)
-    degenerate = RingTable(table, table, zero=0, one=0, label="0", check=False)
-    report = validate_ring_axioms(degenerate)
-    assert any("identity distinct from zero" in v.axiom for v in report.violations)
-    with pytest.raises(ValueError):
+    degenerate = SimpleNamespace(order=1, add=table, mul=table, zero=0, one=0)
+    assert any("identity distinct from zero" in axiom for axiom, _ in util.axiom_violations(degenerate))
+    with pytest.raises(ValueError, match="order < 2"):
         RingTable(table, table, zero=0, one=0, label="0")
+
+
+def _z4_args(**changes):
+    """Keyword arguments that build Z4, with ``changes`` applied."""
+    z4 = make_zmod(4)
+    return {"add": np.array(z4.add), "mul": np.array(z4.mul), "zero": 0, "one": 1, "label": "Z4", **changes}
+
+
+def _z4_args_with_entry(name, value):
+    args = _z4_args()
+    args[name][1, 1] = value
+    return args
+
+
+@pytest.mark.parametrize("args, message", [
+    (_z4_args(add=np.zeros((2, 3), dtype=int), mul=np.zeros((2, 3), dtype=int)), "square and of equal shape"),
+    (_z4_args(mul=np.zeros((3, 3), dtype=int)), "square and of equal shape"),
+    (_z4_args(zero=4), "zero/one index out of range"),
+    (_z4_args(one=-1), "zero/one index out of range"),
+    (_z4_args(zero=1), "one must differ from zero"),
+    (_z4_args_with_entry("add", 4), "add table entry out of range"),
+    (_z4_args_with_entry("mul", -1), "mul table entry out of range"),
+], ids=["non-square", "unequal-shapes", "zero-out-of-range", "one-out-of-range", "zero-is-one",
+        "add-entry-out-of-range", "mul-entry-out-of-range"])
+def test_constructor_rejects_malformed_tables(args, message):
+    with pytest.raises(ValueError, match=message):
+        RingTable(**args)
 
 
 @pytest.mark.parametrize("domain, image, message", [

@@ -2,7 +2,8 @@
 
 The oracles are computed with plain integer arithmetic (or frozen
 from well-known tables), deliberately avoiding the table machinery
-under test.
+under test.  The exception is :func:`axiom_violations`, an exhaustive
+numpy scan of the raw tables that shares no code with the package.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import subprocess
 import sys
 from math import gcd
 from pathlib import Path
+
+import numpy as np
 
 import ringlab
 
@@ -93,6 +96,92 @@ def ring_hom(domain, codomain, image) -> list[int]:
                 if f[dom[a][b]] != cod[f[a]][f[b]]:
                     raise ValueError(f"map is not {name} at ({a}, {b})")
     return f
+
+
+def _first_bad_triple(bad: np.ndarray, row_offset: int) -> tuple:
+    a, b, c = np.argwhere(bad)[0]
+    return (int(a) + row_offset, int(b), int(c))
+
+
+def axiom_violations(r) -> list[tuple[str, tuple]]:
+    """Every commutative-unital-ring axiom the tables of ``r`` break, each
+    once, as ``(axiom, witness)`` with a witnessing element, pair or triple.
+
+    ``r`` is anything with ``order``, ``add``, ``mul``, ``zero`` and
+    ``one``, so tables the ``RingTable`` constructor rejects can be
+    checked too.  Associativity and distributivity are O(n^3) and are
+    checked in blocks of rows, about 2^18 triples each, to bound memory.
+    """
+    out: list[tuple[str, tuple]] = []
+    add, mul, n = np.asarray(r.add), np.asarray(r.mul), r.order
+
+    if n < 2 or r.zero == r.one:
+        out.append(("identity distinct from zero (order >= 2)", ()))
+    in_range = True
+    for name, t in (("+", add), ("*", mul)):
+        if t.min() < 0 or t.max() >= n:
+            bad = np.argwhere((t < 0) | (t >= n))[0]
+            out.append((f"totality of {name}", (int(bad[0]), int(bad[1]))))
+            in_range = False
+    if not in_range:
+        return out  # index-based checks would be garbage
+
+    for name, t in (("+", add), ("*", mul)):
+        if not np.array_equal(t, t.T):
+            bad = np.argwhere(t != t.T)[0]
+            out.append((f"commutativity of {name}", (int(bad[0]), int(bad[1]))))
+
+    idx = np.arange(n)
+    if not np.array_equal(add[r.zero], idx):
+        a = int(np.argwhere(add[r.zero] != idx)[0][0])
+        out.append(("zero is the additive identity", (a,)))
+    no_inv = ~(add == r.zero).any(axis=1)
+    if no_inv.any():
+        out.append(("additive inverses exist", (int(idx[no_inv][0]),)))
+    if not np.array_equal(mul[r.one], idx):
+        a = int(np.argwhere(mul[r.one] != idx)[0][0])
+        out.append(("one is the multiplicative identity", (a,)))
+
+    assoc_add = assoc_mul = distrib = None
+    step = max(1, (1 << 18) // (n * n))
+    for a0 in range(0, n, step):
+        rows = slice(a0, min(n, a0 + step))
+        rows_a = add[rows]
+        rows_m = mul[rows]
+        if assoc_add is None:
+            bad = add[rows_a, :] != rows_a[:, add]  # (a+b)+c vs a+(b+c)
+            if bad.any():
+                assoc_add = _first_bad_triple(bad, a0)
+        if assoc_mul is None:
+            bad = mul[rows_m, :] != rows_m[:, mul]
+            if bad.any():
+                assoc_mul = _first_bad_triple(bad, a0)
+        if distrib is None:
+            lhs = rows_m[:, add]  # a*(b+c)
+            rhs = add[rows_m[:, :, None], rows_m[:, None, :]]  # a*b + a*c
+            bad = lhs != rhs
+            if bad.any():
+                distrib = _first_bad_triple(bad, a0)
+        if assoc_add is not None and assoc_mul is not None and distrib is not None:
+            break
+    if assoc_add is not None:
+        out.append(("associativity of +", assoc_add))
+    if assoc_mul is not None:
+        out.append(("associativity of *", assoc_mul))
+    if distrib is not None:
+        out.append(("distributivity", distrib))
+    return out
+
+
+def is_prime_ideal(ring, ideal) -> bool:
+    """True iff no product of two elements outside the proper ideal lies
+    in it; raises ``ValueError`` on the whole ring."""
+    members = set(ideal.key)
+    if len(members) == ring.order:
+        raise ValueError("the whole ring is not a candidate prime ideal")
+    outside = [x for x in range(ring.order) if x not in members]
+    mul = ring.mul.tolist()
+    return not any(mul[a][b] in members for a in outside for b in outside)
 
 
 def coset_projection(ring, ideal, quot) -> list[int]:
