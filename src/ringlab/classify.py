@@ -44,6 +44,7 @@ from .rings import (
     CapExceeded,
     DisagreementError,
     RingTable,
+    _gather,
     _memo,
     additive_orders,
     characteristic,
@@ -70,7 +71,7 @@ def _clean_verdicts(ring: RingTable) -> tuple[Verdict, Verdict]:
     covered = np.zeros(ring.order, dtype=bool)
     verdicts = []
     for summands in (idem, ring.neg[idem]):
-        covered[ring.add[np.ix_(nil, summands)]] = True
+        covered[_gather(ring.add, nil, summands)] = True
         ok = bool(covered.all())
         verdicts.append(Verdict(ok, None if ok else int(covered.argmin())))
     return tuple(verdicts)
@@ -195,13 +196,16 @@ def is_nil_neat_criterion(ring: RingTable) -> bool:
     return is_field(ring) or _shape_mod_jacobson(ring).is_boolean
 
 
+@_memo
 def weakly_nil_clean_criterion(ring: RingTable) -> bool:
     """Three independent structural tests, which must agree.
 
     Finite rings are zero-dimensional, so that hypothesis is free; the
     three sub-checks exercise independent machinery (residue fields,
     the nilpotent scan, the maximal-ideal intersection) and a mismatch
-    raises :class:`DisagreementError`.
+    raises :class:`DisagreementError`.  The verdict is memoized, so both
+    group-ring predicates read it once per ring; a mismatch is not, and
+    raises on every call.
     """
     # all residue fields Z2, at most one Z3
     residue_orders = _residue_orders(ring)
@@ -209,7 +213,7 @@ def weakly_nil_clean_criterion(ring: RingTable) -> bool:
     # R/N boolean, Z3 or boolean x Z3
     by_nilradical = _shape_mod_nilradical(ring).in_weakly_nil_clean_shape
     # J nil and the same shape for R/J
-    jac_is_nil = bool(np.isin(jacobson_radical(ring).members, nilradical(ring).members).all())
+    jac_is_nil = set(jacobson_radical(ring).key) <= set(nilradical(ring).key)
     by_jacobson = jac_is_nil and _shape_mod_jacobson(ring).in_weakly_nil_clean_shape
 
     if not (by_residues == by_nilradical == by_jacobson):

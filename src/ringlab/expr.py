@@ -10,10 +10,11 @@ Grammar (whitespace-insensitive)::
 'x' is left-associative.  A quotient suffix binds loosest, so
 ``Z2 x Z12/(6)`` quotients the evaluated product; its generators are
 element indices of that ring.  Parentheses group a quotient as a
-product factor: ``(Z12/(6)) x Z5``.  Labels produced by the
-constructors (``Z6``, ``Z2 x Z3``, ``GR(Z3, C2)``, ``Z12/(6)``,
-``(Z12/(6)) x Z5``) re-parse to expressions that evaluate to identical
-tables.
+product factor: ``(Z12/(6)) x Z5``, ``Z5 x (Z12/(6))``.  Labels
+produced by the constructors (``Z6``, ``Z2 x Z3``, ``GR(Z3, C2)``,
+``Z12/(6)``, ``Z5 x (Z12/(6))``) re-parse to expressions that evaluate
+to identical tables, through no ring larger than the constructors
+built.
 """
 
 from __future__ import annotations
@@ -202,8 +203,8 @@ def parse_ring_expr(text: str) -> RingExpr:
 
 
 def canonical_label(expr: RingExpr) -> str:
-    """Print an expression with its group factors canonicalized and a
-    quotient factor on the left of a product in parentheses.
+    """Print an expression with its group factors canonicalized and
+    each quotient factor of a product in parentheses.
 
     The label re-parses, and is the sweep's cache key.
     """

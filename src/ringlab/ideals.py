@@ -29,6 +29,7 @@ from .rings import (
     CapExceeded,
     DisagreementError,
     RingTable,
+    _gather,
     _memo,
     _row_blocks,
     _table_dtype,
@@ -106,7 +107,7 @@ def _check_ideal(ring: RingTable, members: np.ndarray) -> None:
     if not member[ring.zero]:
         raise ValueError("ideal must contain zero")
     for rows in _row_blocks(members.size, members.size):
-        if not member[ring.add[np.ix_(members[rows], members)]].all():
+        if not _gather(ring.add, members[rows], members, through=member).all():
             raise ValueError("set is not closed under addition")
     for rows in _row_blocks(ring.order, members.size):
         if not member[ring.mul[rows][:, members]].all():
@@ -120,7 +121,7 @@ def _principal(ring: RingTable, x: int) -> np.ndarray:
 
 def _ideal_sum(ring: RingTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Sorted members of I + J, from the sorted members of I and J."""
-    return np.unique(ring.add[np.ix_(a, b)]).astype(np.int64)
+    return np.unique(_gather(ring.add, a, b)).astype(np.int64)
 
 
 def _span(ring: RingTable, candidates) -> tuple[np.ndarray, list[int]]:
@@ -200,9 +201,10 @@ def quotient_ring(ring: RingTable, ideal: IdealSet) -> RingTable:
     """R/I for a proper ideal I, labelled ``R/(g1,...)`` by minimal generators.
 
     Each coset is represented by its least member, and the cosets are
-    indexed in the order of those members.  The projection is cast to
-    the quotient's table dtype, so the q x q gathers through it make no
-    intp temporary.
+    indexed in the order of those members.  Both q x q tables are read
+    by :func:`ringlab.rings._gather` one row block at a time, each block
+    mapped through the projection (cast to the quotient's table dtype)
+    before the next is read, so no temporary outgrows one block.
     """
     if ideal.is_whole:
         raise ValueError(
@@ -214,8 +216,8 @@ def quotient_ring(ring: RingTable, ideal: IdealSet) -> RingTable:
     proj = np.searchsorted(class_reps, rep).astype(_table_dtype(class_reps.size))
     gens = minimal_generators(ring, ideal)
     return RingTable(
-        proj[ring.add[np.ix_(class_reps, class_reps)]],
-        proj[ring.mul[np.ix_(class_reps, class_reps)]],
+        _gather(ring.add, class_reps, class_reps, through=proj),
+        _gather(ring.mul, class_reps, class_reps, through=proj),
         zero=int(proj[ring.zero]),
         one=int(proj[ring.one]),
         label=f"{ring.label}/({','.join(map(str, gens))})",
@@ -240,7 +242,7 @@ def _primitive_idempotents(ring: RingTable, idempotents) -> np.ndarray:
         part = ring.mul[blocks, f]
         blocks = np.concatenate([part, ring.add[blocks, ring.neg[part]]])
         blocks = np.unique(blocks[blocks != ring.zero])
-    prods = ring.mul[np.ix_(blocks, blocks)]
+    prods = _gather(ring.mul, blocks, blocks)
     prods[np.diag_indices(blocks.size)] = ring.zero
     if (prods != ring.zero).any():
         raise DisagreementError(f"corrupted table {ring.label}: primitive idempotents are not orthogonal")
@@ -287,7 +289,7 @@ def minimal_ideals(ring: RingTable) -> tuple[IdealSet, ...]:
     rank[ring.zero] = 0  # so y = 0 never gives the largest |Ann(y)|
     minimal = np.empty(n, dtype=bool)
     for rows in _row_blocks(n, n):  # row x of mul is Rx
-        minimal[rows] = rank[ring.mul[rows]].max(axis=1) == ann[rows]
+        minimal[rows] = rank.take(ring.mul[rows]).max(axis=1) == ann[rows]
     covered = np.zeros(n, dtype=bool)
     found = []
     for x in np.flatnonzero(minimal):

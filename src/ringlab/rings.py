@@ -8,17 +8,20 @@ strings that re-parse through the expression grammar in
 :mod:`ringlab.expr`.
 
 Tables are numpy integer arrays made read-only after construction, so
-instances are immutable and safe to share between threads.
+instances are immutable and safe to share between threads.  Every
+read of a sub-table (the rows and columns at two index lists) goes
+through the private :func:`_gather`, one row block at a time.
 
 Facts derived from the tables (element classes, the ideal lattice,
 minimal and maximal ideals, the radicals, the shapes of R/N and R/J,
-the clean and neat verdicts) are memoized on the instance by the
-private :func:`_memo` decorator, so each is computed at most once per
-ring however many deciders ask for it.  A memo value is a frozenset,
-an ideal, a tuple of these or a small frozen record, and never holds a
-reference back to the ring (an ideal keeps only its ring's order and
-label), so the tables are freed as soon as the ring itself is.  Two
-threads may race to fill one entry; that only duplicates equal work.
+the clean and neat verdicts, the weakly nil-clean criterion) are
+memoized on the instance by the private :func:`_memo` decorator, so
+each is computed at most once per ring however many deciders ask for
+it.  A memo value is a bool, a frozenset, an ideal, a tuple of these
+or a small frozen record, and never holds a reference back to the ring
+(an ideal keeps only its ring's order and label), so the tables are
+freed as soon as the ring itself is.  Two threads may race to fill one
+entry; that only duplicates equal work.
 """
 
 from __future__ import annotations
@@ -136,11 +139,28 @@ def _row_blocks(rows: int, width: int):
     entries when a row holds ``width`` of them (but at least one row).
 
     Scans over a table go one block at a time, so their temporaries stay
-    a small fixed size instead of growing with the table.
+    a small fixed size instead of growing with the table; :func:`_gather`
+    is the one sub-table gather built on it.
     """
     step = max(1, _BLOCK // max(1, width))
     for r0 in range(0, rows, step):
         yield slice(r0, min(rows, r0 + step))
+
+
+def _gather(table: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+            through: np.ndarray | None = None) -> np.ndarray:
+    """The sub-table ``table[np.ix_(rows, cols)]``, mapped through
+    ``through`` (``through[...]``) if given.
+
+    Each row block is a row ``take`` and then a column ``take``, about
+    twice as fast as 2-D fancy indexing.  A block is mapped before the
+    next is read, so no temporary outgrows one block.
+    """
+    out = np.empty((rows.size, cols.size), dtype=table.dtype if through is None else through.dtype)
+    for b in _row_blocks(rows.size, table.shape[1]):
+        block = table.take(rows[b], axis=0).take(cols, axis=1)
+        out[b] = block if through is None else through.take(block)
+    return out
 
 
 def _memo(fn):
@@ -197,8 +217,8 @@ def direct_product(r: RingTable, s: RingTable, *, cap: int = DEFAULT_ORDER_CAP) 
 
     Row-major pairing makes the construction strictly associative at the
     index level, so labels like ``"Z2 x Z3 x Z2"`` are unambiguous.  A
-    quotient on the left is labelled in parentheses, as in
-    ``"(Z12/(6)) x Z5"`` (see :func:`_product_label`).
+    quotient factor is labelled in parentheses, as in
+    ``"(Z12/(6)) x Z5"`` and ``"Z5 x (Z12/(6))"`` (see :func:`_product_label`).
     """
     n = r.order * s.order
     if n > cap:
@@ -217,24 +237,21 @@ def direct_product(r: RingTable, s: RingTable, *, cap: int = DEFAULT_ORDER_CAP) 
 def _product_label(left: str, right: str) -> str:
     """The canonical label ``left x right`` of a product.
 
-    A quotient suffix binds loosest, so a left label with a ``/``
-    outside every parenthesis goes in parentheses.  A right label that
-    opens with such a group, ``(Q) x ...``, takes ``left`` into it as
-    ``(left x Q) x ...``: the same ring, since pairing is associative at
-    the index level, and the form that label re-parses and prints to.
+    A quotient suffix binds loosest, so a factor label with a ``/``
+    outside every parenthesis goes in parentheses, on either side.  The
+    label then evaluates through no ring larger than the factors' own
+    labels and the product need.
     """
-    if right.startswith("("):
-        depth = 0
-        for end, ch in enumerate(right):
-            depth += (ch == "(") - (ch == ")")
-            if depth == 0:
-                return f"({_product_label(left, right[1:end])}){right[end + 1:]}"
+    return f"{_factor_label(left)} x {_factor_label(right)}"
+
+
+def _factor_label(label: str) -> str:
     depth = 0
-    for ch in left:
+    for ch in label:
         depth += (ch == "(") - (ch == ")")
         if ch == "/" and depth == 0:
-            return f"({left}) x {right}"
-    return f"{left} x {right}"
+            return f"({label})"
+    return label
 
 
 def _nilpotent_mask(r: RingTable) -> np.ndarray:

@@ -175,6 +175,8 @@ def test_parentheses_group_a_quotient_factor():
     assert parse_ring_expr("((Z2))") == ZmodExpr(2)
     assert canonical_label(ProductExpr(quotient, ZmodExpr(5))) == "(Z12/(6)) x Z5"
     assert evaluate(parse_ring_expr("(Z12/(6)) x Z5")).label == "(Z12/(6)) x Z5"
+    assert canonical_label(ProductExpr(ZmodExpr(5), quotient)) == "Z5 x (Z12/(6))"
+    assert evaluate(parse_ring_expr("Z5 x (Z12/(6))"), order_cap=30).label == "Z5 x (Z12/(6))"
 
 
 def test_parentheses_count_toward_the_depth_bound():

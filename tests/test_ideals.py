@@ -65,6 +65,21 @@ def test_ideal_check_of_the_whole_ring_runs_in_row_blocks():
     assert peak < 8 << 20, peak
 
 
+def test_quotient_tables_are_gathered_in_row_blocks():
+    # R/I of order 2187 has 2 x 9.1 MiB of tables; gathering either whole
+    # and then mapping it through the projection would allocate more
+    ring = evaluate(parse_ring_expr("GR(Z9, C4)"), order_cap=6561)
+    ideal = next(m for m in minimal_ideals(ring) if not m.is_whole)
+    tracemalloc.start()
+    try:
+        quot = quotient_ring(ring, ideal)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert quot.order == 2187
+    assert peak - quot.add.nbytes - quot.mul.nbytes <= 4 << 20, peak
+
+
 def test_enumerate_ideals_examples():
     z4_keys = [i.key for i in enumerate_ideals(make_zmod(4))]
     assert z4_keys == [(0,), (0, 2), (0, 1, 2, 3)]

@@ -70,6 +70,17 @@ def _record_calls(monkeypatch, module, name) -> list:
     return calls
 
 
+def test_weakly_nil_clean_criterion_is_derived_once_per_ring(monkeypatch):
+    # both group-ring predicates read it for every group; J(Z4 x Z3) is
+    # nonzero, so the weakly nil-neat criterion reads no residue orders
+    base = direct_product(make_zmod(4), make_zmod(3))
+    calls = _record_calls(monkeypatch, classify, "_residue_orders")
+    for factors in ([], [2], [3]):
+        weakly_nil_neat_group_ring_predicate(base, make_group(factors))
+        weakly_nil_clean_group_ring_predicate(base, make_group(factors))
+    assert calls == [base]
+
+
 def test_classify_ring_builds_each_minimal_quotient_once(monkeypatch):
     # Z2^6: six minimal ideals, all with nil-clean quotients; Z9 x Z3: the
     # scan stops at 3Z9 x 0, the second minimal ideal.  R/N and R/J for

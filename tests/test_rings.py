@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import ringlab
 import util
+from ringlab import rings
 from ringlab import (
     CapExceeded,
     DisagreementError,
@@ -84,7 +85,7 @@ def test_direct_product_identity_and_idempotents():
     ("Z4", "Z6", "Z4 x Z6"),
     ("Z12/(6)", "Z5", "(Z12/(6)) x Z5"),
     ("Z3", "GR(Z2, C2)", "Z3 x GR(Z2, C2)"),
-    ("GR(Z2, C2)", "Z12/(6)", "GR(Z2, C2) x Z12/(6)"),
+    ("GR(Z2, C2)", "Z12/(6)", "GR(Z2, C2) x (Z12/(6))"),
 ], ids=["Z2-Z3", "Z4-Z6", "Z12/(6)-Z5", "Z3-GR(Z2, C2)", "GR(Z2, C2)-Z12/(6)"])
 def test_direct_product_tables_match_pair_reference(left, right, label):
     r, s = evaluate(parse_ring_expr(left)), evaluate(parse_ring_expr(right))
@@ -105,8 +106,10 @@ def test_direct_product_tables_match_pair_reference(left, right, label):
         assert table.dtype == np.int16  # the table dtype of every order up to 32767
 
 
-def _assert_label_reparses(ring):
-    again = evaluate(parse_ring_expr(ring.label))
+def _assert_label_reparses(ring, built=0):
+    # the label builds no ring larger than the ring itself and the
+    # largest ring its construction built
+    again = evaluate(parse_ring_expr(ring.label), order_cap=max(ring.order, built))
     assert again.label == ring.label
     assert again.add.tolist() == ring.add.tolist() and again.mul.tolist() == ring.mul.tolist(), ring.label
     assert (again.zero, again.one) == (ring.zero, ring.one)
@@ -114,7 +117,8 @@ def _assert_label_reparses(ring):
 
 
 _LABEL_FACTORS = ["Z2", "Z3", "Z4", "Z5", "Z6", "GR(Z2, C2)"]
-_QUOTIENT_FACTORS = ["GR(Z3, C3)/(13)", "Z12/(6)", "Z8/(4)", "Z2 x Z12/(6)"]
+#: each quotient factor with the order of the ring it is a quotient of
+_QUOTIENT_FACTORS = {"GR(Z3, C3)/(13)": 27, "Z12/(6)": 12, "Z8/(4)": 8, "Z2 x Z12/(6)": 24}
 
 
 @settings(max_examples=60)
@@ -123,7 +127,9 @@ def test_products_with_a_quotient_factor_reparse(data):
     # one quotient factor on the left or on the right of a product of
     # up to two other factors; then maybe a quotient of the whole, and
     # that as a factor again
-    quotient = evaluate(parse_ring_expr(data.draw(st.sampled_from(_QUOTIENT_FACTORS))))
+    text = data.draw(st.sampled_from(sorted(_QUOTIENT_FACTORS)))
+    quotient = evaluate(parse_ring_expr(text))
+    built = _QUOTIENT_FACTORS[text]
     texts = data.draw(st.lists(st.sampled_from(_LABEL_FACTORS), min_size=1, max_size=2))
     others = [evaluate(parse_ring_expr(text)) for text in texts]
     factors = [quotient, *others] if data.draw(st.booleans()) else [*others, quotient]
@@ -131,16 +137,52 @@ def test_products_with_a_quotient_factor_reparse(data):
     for factor in factors[1:]:
         if ring.order * factor.order <= 64:
             ring = direct_product(ring, factor)
-    _assert_label_reparses(ring)
+    built = max(built, ring.order)
+    _assert_label_reparses(ring, built)
     units = element_classes(ring).units
     non_units = [x for x in range(ring.order) if x not in units]
     if data.draw(st.booleans()):
         ring = quotient_ring(ring, ideal_generated(ring, [data.draw(st.sampled_from(non_units))]))
-        _assert_label_reparses(ring)
+        _assert_label_reparses(ring, built)
         other = evaluate(parse_ring_expr(data.draw(st.sampled_from(_LABEL_FACTORS))))
         if ring.order * other.order <= 64:
             pair = (ring, other) if data.draw(st.booleans()) else (other, ring)
-            _assert_label_reparses(direct_product(*pair))
+            _assert_label_reparses(direct_product(*pair), built)
+
+
+def test_product_label_evaluates_under_the_product_order_cap():
+    # read as (Z5 x Z12)/(6), the label would build a ring of order 60
+    prod = direct_product(make_zmod(5), evaluate(parse_ring_expr("Z12/(6)")))
+    assert prod.label == "Z5 x (Z12/(6))"
+    _assert_label_reparses(prod)
+    left = direct_product(make_zmod(2), evaluate(parse_ring_expr("GR(Z3, C3)/(13)")))
+    assert direct_product(left, make_zmod(2)).label == "Z2 x (GR(Z3, C3)/(13)) x Z2"
+
+
+@pytest.mark.parametrize("block", [rings._BLOCK, 120], ids=["one-block", "two-row-blocks"])
+@pytest.mark.parametrize("index_dtype", [np.int16, np.int64])
+@pytest.mark.parametrize("table_dtype", [np.int16, np.int32])
+def test_gather_matches_fancy_indexing(monkeypatch, block, index_dtype, table_dtype):
+    monkeypatch.setattr(rings, "_BLOCK", block)  # 120 entries: two rows of 50 per block
+    rng = np.random.default_rng(7)
+    table = rng.integers(0, 50, size=(50, 50)).astype(table_dtype)
+    through = rng.integers(0, 9, size=50).astype(np.int16)
+    cases = [
+        ([], [3, 1]),
+        ([4], [0, 49, 4]),
+        ([3, 3, 0, 49, 17], [8, 2, 2]),  # 5 rows: blocks of 2, 2 and 1 with the small block
+        (np.arange(50)[::-1], np.arange(50)),
+        ([1, 2], []),
+    ]
+    for rows, cols in cases:
+        rows = np.asarray(rows, dtype=index_dtype)
+        cols = np.asarray(cols, dtype=index_dtype)
+        want = table[np.ix_(rows, cols)]
+        got = rings._gather(table, rows, cols)
+        assert got.dtype == table.dtype and np.array_equal(got, want)
+        mapped = rings._gather(table, rows, cols, through=through)
+        assert mapped.dtype == through.dtype and np.array_equal(mapped, through[want])
+    assert rings._gather(table, np.array([1]), np.array([2]), through=through > 4).dtype == bool
 
 
 def test_direct_product_cap():
@@ -191,6 +233,18 @@ def test_package_has_no_assert_statements():
         for path in sorted(Path(ringlab.__file__).parent.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
+    ]
+    assert not found
+
+
+def test_package_gathers_sub_tables_only_through_the_kernel():
+    # ``table[np.ix_(rows, cols)]`` is 2-D fancy indexing: about half as fast
+    # as ``rings._gather`` and with a temporary as large as the sub-table
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(ringlab.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "ix_"
     ]
     assert not found
 
