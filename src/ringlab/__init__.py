@@ -44,7 +44,6 @@ from .group_algebra import (
 from .classify import (
     ClassificationReport,
     PredicateResult,
-    StructureTag,
     Verdict,
     classify_ring,
     is_nil_clean_criterion,
@@ -55,7 +54,6 @@ from .classify import (
     is_weakly_nil_neat_definitional,
     nil_clean_group_ring_predicate,
     nil_neat_group_ring_predicate,
-    recognize_structure,
     ring_isomorphic,
     weakly_nil_clean_criterion,
     weakly_nil_clean_group_ring_predicate,
@@ -103,7 +101,6 @@ __all__ = [
     "make_group",
     "ClassificationReport",
     "PredicateResult",
-    "StructureTag",
     "Verdict",
     "classify_ring",
     "is_nil_clean_criterion",
@@ -114,7 +111,6 @@ __all__ = [
     "is_weakly_nil_neat_definitional",
     "nil_clean_group_ring_predicate",
     "nil_neat_group_ring_predicate",
-    "recognize_structure",
     "ring_isomorphic",
     "weakly_nil_clean_criterion",
     "weakly_nil_clean_group_ring_predicate",

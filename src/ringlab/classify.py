@@ -10,11 +10,13 @@ Four properties of a finite commutative ring R:
   the whole ring is the zero ring and counts as vacuously nil-clean.
 
 Each property gets a definitional brute-force decider and a structural
-criterion in terms of radicals and residue fields.  The deciders run in
-pairs: one element scan for both clean properties, one pass over the
-quotients by the minimal nonzero ideals for both neat ones, and each
-answers with a :class:`Verdict`.  :func:`classify_ring` always runs
-both derivations and raises :class:`DisagreementError` on a mismatch.
+criterion in terms of radicals and residue fields; the criteria read the
+shapes of R/N and R/J off two counts and build neither quotient.  The
+deciders run in pairs: one element scan for both clean properties, one
+pass over the quotients by the minimal nonzero ideals for both neat
+ones, and each answers with a :class:`Verdict`.  :func:`classify_ring`
+always runs both derivations and raises :class:`DisagreementError` on
+a mismatch.
 
 The group-ring predicates decide the same properties for RG directly
 from (R, G) without building RG, so sweeping them against the
@@ -121,57 +123,33 @@ def is_weakly_nil_neat_definitional(ring: RingTable) -> Verdict:
     return _neat_verdicts(ring)[1]
 
 
-@dataclass(frozen=True)
-class StructureTag:
-    """Shape of a ring relative to {boolean, Z3, boolean x Z3}."""
+def _shape_mod(ring: RingTable, ideal: IdealSet) -> tuple[bool, bool]:
+    """(R/I boolean, R/I boolean or Z3 or boolean x Z3) for a proper ideal
+    I, read off two counts without building R/I.
 
-    is_boolean: bool
-    is_z3: bool
-    is_boolean_times_z3: bool
-    split_idempotent: Optional[int]
-
-    @property
-    def in_weakly_nil_clean_shape(self) -> bool:
-        return self.is_boolean or self.is_z3 or self.is_boolean_times_z3
-
-
-def recognize_structure(ring: RingTable) -> StructureTag:
-    """Classify a ring as boolean / Z3 / boolean x Z3.
-
-    The boolean-times-Z3 search walks idempotents e not in {0, 1} in
-    ascending index order and takes the first e with eR boolean (every
-    element idempotent; e is automatically its identity) and (1-e)R of
-    order exactly 3.  The Peirce decomposition x -> (ex, (1-e)x) then
-    splits the ring, so e is recorded as reproducible evidence.
+    R/I has order q = |R|/|I| and e = #{x : x^2 - x in I}/|I|
+    idempotents.  A finite commutative ring with k local factors has 2^k
+    idempotents (Atiyah-Macdonald 8.7), so R/I is boolean iff e == q.
+    It is Z3 or boolean x Z3 iff 2q == 3e: the k local orders, each a
+    prime power, then multiply to 3 * 2^(k-1), so one is 3 and the rest 2.
     """
-    idempotents = sorted(element_classes(ring).idempotents)
-    boolean = len(idempotents) == ring.order
-    z3 = ring.order == 3
-    split = None
-    for e in idempotents:
-        if e in (ring.zero, ring.one):
-            continue
-        e_part = np.unique(ring.mul[:, e])
-        if not (ring.mul[e_part, e_part] == e_part).all():
-            continue
-        f = int(ring.add[ring.one, ring.neg[e]])
-        f_part = np.unique(ring.mul[:, f])
-        if f_part.size == 3:
-            split = e
-            break
-    return StructureTag(boolean, z3, split is not None, split)
+    member = np.zeros(ring.order, dtype=bool)
+    member[ideal.members] = True
+    q = ring.order // len(ideal)
+    e = int(np.count_nonzero(member[ring.add[ring.mul.diagonal(), ring.neg]])) // len(ideal)
+    return e == q, 2 * q in (2 * e, 3 * e)
 
 
 @_memo
-def _shape_mod_nilradical(ring: RingTable) -> StructureTag:
-    """The :class:`StructureTag` of R/N(R)."""
-    return recognize_structure(quotient_ring(ring, nilradical(ring)))
+def _shape_mod_nilradical(ring: RingTable) -> tuple[bool, bool]:
+    """:func:`_shape_mod` of R/N(R)."""
+    return _shape_mod(ring, nilradical(ring))
 
 
 @_memo
-def _shape_mod_jacobson(ring: RingTable) -> StructureTag:
-    """The :class:`StructureTag` of R/J(R)."""
-    return recognize_structure(quotient_ring(ring, jacobson_radical(ring)))
+def _shape_mod_jacobson(ring: RingTable) -> tuple[bool, bool]:
+    """:func:`_shape_mod` of R/J(R)."""
+    return _shape_mod(ring, jacobson_radical(ring))
 
 
 def _residue_orders(ring: RingTable) -> list[int]:
@@ -180,8 +158,9 @@ def _residue_orders(ring: RingTable) -> list[int]:
 
 
 def is_nil_clean_criterion(ring: RingTable) -> bool:
-    """Structural test: R is nil-clean iff R/N(R) is boolean."""
-    return _shape_mod_nilradical(ring).is_boolean
+    """Structural test: R is nil-clean iff R/N(R) is boolean, read off
+    two counts by :func:`_shape_mod` without building R/N."""
+    return _shape_mod_nilradical(ring)[0]
 
 
 def is_nil_neat_criterion(ring: RingTable) -> bool:
@@ -191,9 +170,11 @@ def is_nil_neat_criterion(ring: RingTable) -> bool:
     (hence boolean, being semiprimitive); with J zero the ring is a
     product of residue fields and every proper subproduct must be
     boolean, which forces all factors to be Z2 unless there is only one
-    factor.  Cross-checked against the definitional decider in tests.
+    factor.  R/J's shape is read off two counts by :func:`_shape_mod`,
+    without building R/J.  Cross-checked against the definitional
+    decider in tests.
     """
-    return is_field(ring) or _shape_mod_jacobson(ring).is_boolean
+    return is_field(ring) or _shape_mod_jacobson(ring)[0]
 
 
 @_memo
@@ -201,9 +182,11 @@ def weakly_nil_clean_criterion(ring: RingTable) -> bool:
     """Three independent structural tests, which must agree.
 
     Finite rings are zero-dimensional, so that hypothesis is free; the
-    three sub-checks exercise independent machinery (residue fields,
-    the nilpotent scan, the maximal-ideal intersection) and a mismatch
-    raises :class:`DisagreementError`.  The verdict is memoized, so both
+    three sub-checks rest on independent derivations (residue fields
+    from the primitive idempotents, N from the nilpotent scan, J from
+    the maximal ideals) and a mismatch raises :class:`DisagreementError`.
+    The shapes of R/N and R/J are read off two counts by
+    :func:`_shape_mod`; neither quotient is built.  The verdict is memoized, so both
     group-ring predicates read it once per ring; a mismatch is not, and
     raises on every call.
     """
@@ -211,10 +194,10 @@ def weakly_nil_clean_criterion(ring: RingTable) -> bool:
     residue_orders = _residue_orders(ring)
     by_residues = all(s in (2, 3) for s in residue_orders) and residue_orders.count(3) <= 1
     # R/N boolean, Z3 or boolean x Z3
-    by_nilradical = _shape_mod_nilradical(ring).in_weakly_nil_clean_shape
+    by_nilradical = _shape_mod_nilradical(ring)[1]
     # J nil and the same shape for R/J
     jac_is_nil = set(jacobson_radical(ring).key) <= set(nilradical(ring).key)
-    by_jacobson = jac_is_nil and _shape_mod_jacobson(ring).in_weakly_nil_clean_shape
+    by_jacobson = jac_is_nil and _shape_mod_jacobson(ring)[1]
 
     if not (by_residues == by_nilradical == by_jacobson):
         raise DisagreementError(
@@ -236,12 +219,13 @@ def weakly_nil_neat_criterion(ring: RingTable) -> bool:
     leave Z3 x Z3, which is not weakly nil-clean.  Every nonzero prime
     ideal of a finite ring is maximal, so that clause holds
     automatically and is asserted by property tests rather than
-    filtered on.
+    filtered on.  R/J's shape is read off two counts by
+    :func:`_shape_mod`, without building R/J.
     """
     if is_field(ring):
         return True
     if not jacobson_radical(ring).is_zero:
-        return _shape_mod_jacobson(ring).in_weakly_nil_clean_shape
+        return _shape_mod_jacobson(ring)[1]
     residue_orders = _residue_orders(ring)
     if not all(s in (2, 3) for s in residue_orders):
         return False

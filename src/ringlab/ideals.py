@@ -144,11 +144,11 @@ def _span(ring: RingTable, candidates) -> tuple[np.ndarray, list[int]]:
 
 def ideal_generated(ring: RingTable, gens) -> IdealSet:
     """Least ideal containing ``gens``: the sum of the principal ideals Rg."""
-    gens = np.fromiter(gens, dtype=np.int64)
-    bad = gens[(gens < 0) | (gens >= ring.order)]
-    if bad.size:
+    gens = [int(g) for g in gens]  # range-checked before int64 can overflow
+    bad = [g for g in gens if not 0 <= g < ring.order]
+    if bad:
         raise ValueError(f"generator {bad[0]} is not an element index of {ring.label} (order {ring.order})")
-    return IdealSet(ring, _span(ring, np.unique(gens))[0])
+    return IdealSet(ring, _span(ring, np.unique(np.array(gens, dtype=np.int64)))[0])
 
 
 def minimal_generators(ring: RingTable, ideal: IdealSet) -> list[int]:
@@ -201,17 +201,20 @@ def quotient_ring(ring: RingTable, ideal: IdealSet) -> RingTable:
     """R/I for a proper ideal I, labelled ``R/(g1,...)`` by minimal generators.
 
     Each coset is represented by its least member, and the cosets are
-    indexed in the order of those members.  Both q x q tables are read
-    by :func:`ringlab.rings._gather` one row block at a time, each block
-    mapped through the projection (cast to the quotient's table dtype)
-    before the next is read, so no temporary outgrows one block.
+    indexed in the order of those members.  The members are found, and
+    both q x q tables read by :func:`ringlab.rings._gather`, one row
+    block at a time, each table block mapped through the projection
+    (cast to the quotient's table dtype) before the next is read, so no
+    temporary outgrows one block.
     """
     if ideal.is_whole:
         raise ValueError(
             f"quotient of {ring.label} (order {ring.order}) by the whole ring is the zero ring "
             "and is not constructible"
         )
-    rep = ring.add[:, ideal.members].min(axis=1)
+    rep = np.empty(ring.order, dtype=ring.add.dtype)  # least member of each coset
+    for rows in _row_blocks(ring.order, len(ideal)):
+        rep[rows] = ring.add[rows][:, ideal.members].min(axis=1)
     class_reps = np.unique(rep)
     proj = np.searchsorted(class_reps, rep).astype(_table_dtype(class_reps.size))
     gens = minimal_generators(ring, ideal)

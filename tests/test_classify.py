@@ -13,6 +13,7 @@ from ringlab import (
     enumerate_ideals,
     evaluate,
     group_ring,
+    ideal_generated,
     is_field,
     is_nil_clean_criterion,
     is_nil_clean_definitional,
@@ -29,7 +30,6 @@ from ringlab import (
     jacobson_radical,
     parse_ring_expr,
     quotient_ring,
-    recognize_structure,
     ring_isomorphic,
     weakly_nil_clean_criterion,
     weakly_nil_clean_group_ring_predicate,
@@ -50,8 +50,6 @@ def small_catalog():
     rings = [_z(n) for n in range(2, 13)]
     rings += [_prod(a, b) for a, b in ((2, 2), (2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (2, 6), (3, 6), (6, 6))]
     z12 = _z(12)
-    from ringlab import ideal_generated
-
     rings.append(quotient_ring(z12, ideal_generated(z12, {6})))
     rings.append(quotient_ring(z12, ideal_generated(z12, {4})))
     rings.append(group_ring(_z(2), make_group([3])).ring)  # Z2 x F4
@@ -102,33 +100,36 @@ def test_weakly_nil_clean_rings_are_weakly_nil_neat():
             assert is_weakly_nil_neat_definitional(ring).ok
 
 
-def test_recognize_structure_examples():
-    def shape(ring):
-        tag = recognize_structure(ring)
-        return tag.is_boolean, tag.is_z3, tag.is_boolean_times_z3
-
-    assert shape(_prod(2, 2)) == (True, False, False)
-    tag6 = recognize_structure(_z(6))
-    assert shape(_z(6)) == (False, False, True)
-    assert tag6.split_idempotent == 3
-    assert shape(_z(9)) == (False, False, False)
-    assert shape(_z(3)) == (False, True, False)
-    assert shape(_z(2)) == (True, False, False)
+def _split_search_shape(ring):
+    """(boolean, boolean or Z3 or boolean x Z3) by the Peirce split search."""
+    boolean, z3, split = util.peirce_shape(ring)
+    return boolean, boolean or z3 or split is not None
 
 
-def test_structure_evidence_reproduces_tag():
-    for ring in small_catalog():
-        tag = recognize_structure(ring)
-        if tag.split_idempotent is None:
-            continue
-        e = tag.split_idempotent
-        assert ring.mul[e, e] == e and e not in (ring.zero, ring.one)
-        import numpy as np
+def test_shape_counts_match_split_search_on_every_quotient(plain_ring_catalog):
+    for ring in small_catalog() + list(plain_ring_catalog):
+        for ideal in enumerate_ideals(ring, cap=ring.order):
+            if not ideal.is_whole:
+                got = ringlab.classify._shape_mod(ring, ideal)
+                assert got == _split_search_shape(quotient_ring(ring, ideal)), (ring.label, ideal)
 
-        e_part = np.unique(ring.mul[:, e])
-        assert (ring.mul[e_part, e_part] == e_part).all()
-        f = int(ring.add[ring.one, ring.neg[e]])
-        assert np.unique(ring.mul[:, f]).size == 3
+
+def test_shape_counts_on_examples():
+    # R/0 is R; Z6 splits along the idempotent 3 (3Z6 = Z2, 4Z6 = Z3), and
+    # Z2^10 x Z3 along 3069, the element (1, ..., 1, 0)
+    examples = {
+        "Z2 x Z2": (True, False, None),
+        "Z6": (False, False, 3),
+        "Z9": (False, False, None),
+        "Z3": (False, True, None),
+        "Z2": (True, False, None),
+        " x ".join(["Z2"] * 10 + ["Z3"]): (False, False, 3069),
+    }
+    for label, shape in examples.items():
+        ring = evaluate(parse_ring_expr(label))
+        assert util.peirce_shape(ring) == shape, label
+        got = ringlab.classify._shape_mod(ring, ideal_generated(ring, ()))
+        assert got == _split_search_shape(ring), label
 
 
 def test_weakly_nil_clean_criterion_examples():

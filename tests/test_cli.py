@@ -209,6 +209,15 @@ def test_classify_too_deep_expression_is_usage_error(expr):
     assert done.stderr.startswith("usage error: ") and "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("command", ["classify", "radical", "ideals"])
+def test_generator_beyond_int64_is_an_error_not_a_traceback(command):
+    done = util.run_python(
+        "-c", "from ringlab.cli import run; run()", command, "Z4/(99999999999999999999)", timeout=60
+    )
+    assert done.returncode == EXIT_USAGE == 1
+    assert done.stderr == "error: generator 99999999999999999999 is not an element index of Z4 (order 4)\n"
+
+
 def test_radical_z4(capsys):
     code, out, _ = run_cli(capsys, "radical", "Z4", "--json")
     assert code == EXIT_OK

@@ -89,6 +89,9 @@ def test_expressions_at_the_depth_bound_evaluate():
 def test_quotient_generator_out_of_range():
     with pytest.raises(ValueError, match=r"generator 9 is not an element index of Z6 \(order 6\)"):
         evaluate(parse_ring_expr("Z6/(9)"))
+    # too large for int64: rejected by the same range check, not an OverflowError
+    with pytest.raises(ValueError, match=r"generator 99999999999999999999 is not an element index of Z4 \(order 4\)"):
+        evaluate(parse_ring_expr("Z4/(99999999999999999999)"))
 
 
 def test_quotient_by_unit_rejected():

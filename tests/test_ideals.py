@@ -80,6 +80,22 @@ def test_quotient_tables_are_gathered_in_row_blocks():
     assert peak - quot.add.nbytes - quot.mul.nbytes <= 4 << 20, peak
 
 
+def test_quotient_cosets_are_found_in_row_blocks():
+    # R/N of GR(Z64, C2) is Z2; taking every coset's least member in one
+    # n x |N| gather would allocate 16 MiB
+    ring = evaluate(parse_ring_expr("GR(Z64, C2)"))
+    ideal = nilradical(ring)
+    assert len(ideal) == 2048
+    tracemalloc.start()
+    try:
+        quot = quotient_ring(ring, ideal)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert quot.order == 2
+    assert peak - quot.add.nbytes - quot.mul.nbytes <= 2 << 20, peak
+
+
 def test_enumerate_ideals_examples():
     z4_keys = [i.key for i in enumerate_ideals(make_zmod(4))]
     assert z4_keys == [(0,), (0, 2), (0, 1, 2, 3)]

@@ -83,10 +83,10 @@ def test_weakly_nil_clean_criterion_is_derived_once_per_ring(monkeypatch):
 
 def test_classify_ring_builds_each_minimal_quotient_once(monkeypatch):
     # Z2^6: six minimal ideals, all with nil-clean quotients; Z9 x Z3: the
-    # scan stops at 3Z9 x 0, the second minimal ideal.  R/N and R/J for
-    # the criteria add two quotients to each.
+    # scan stops at 3Z9 x 0, the second minimal ideal.  The criteria read
+    # the shapes of R/N and R/J off counts and build no quotient.
     calls = _record_calls(monkeypatch, classify, "quotient_ring")
-    for label, expected in (("Z2 x Z2 x Z2 x Z2 x Z2 x Z2", 8), ("Z9 x Z3", 4)):
+    for label, expected in (("Z2 x Z2 x Z2 x Z2 x Z2 x Z2", 6), ("Z9 x Z3", 2)):
         ring = evaluate(parse_ring_expr(label))
         calls.clear()
         classify_ring(ring)

@@ -2,8 +2,9 @@
 
 The oracles are computed with plain integer arithmetic (or frozen
 from well-known tables), deliberately avoiding the table machinery
-under test.  The exception is :func:`axiom_violations`, an exhaustive
-numpy scan of the raw tables that shares no code with the package.
+under test.  The exceptions are :func:`axiom_violations`, an exhaustive
+numpy scan of the raw tables, and :func:`peirce_shape`, a search over
+them; neither shares code with the package.
 """
 
 from __future__ import annotations
@@ -182,6 +183,29 @@ def is_prime_ideal(ring, ideal) -> bool:
     outside = [x for x in range(ring.order) if x not in members]
     mul = ring.mul.tolist()
     return not any(mul[a][b] in members for a in outside for b in outside)
+
+
+def peirce_shape(ring) -> tuple[bool, bool, int | None]:
+    """(boolean, Z3, split) for a ring, from its tables by search.
+
+    ``split`` is the least idempotent e other than 0 and 1 with eR
+    boolean (every element idempotent; e is its identity) and (1 - e)R
+    of order 3, so the Peirce decomposition x -> (ex, (1 - e)x) splits
+    the ring as boolean x Z3; it is ``None`` if there is no such e.
+    """
+    idempotents = [x for x in range(ring.order) if ring.mul[x, x] == x]
+    boolean = len(idempotents) == ring.order
+    z3 = ring.order == 3
+    for e in idempotents:
+        if e in (ring.zero, ring.one):
+            continue
+        e_part = np.unique(ring.mul[:, e])
+        if not (ring.mul[e_part, e_part] == e_part).all():
+            continue
+        f = int(ring.add[ring.one, ring.neg[e]])
+        if np.unique(ring.mul[:, f]).size == 3:
+            return boolean, z3, e
+    return boolean, z3, None
 
 
 def coset_projection(ring, ideal, quot) -> list[int]:
