@@ -42,7 +42,6 @@ from .group_algebra import (
     make_group,
 )
 from .classify import (
-    ClassificationReport,
     PredicateResult,
     Verdict,
     classify_ring,
@@ -99,7 +98,6 @@ __all__ = [
     "group_ring",
     "karpilovsky_radical",
     "make_group",
-    "ClassificationReport",
     "PredicateResult",
     "Verdict",
     "classify_ring",

@@ -26,7 +26,6 @@ desk-scale check of the classification theorems they implement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -68,8 +67,8 @@ def _clean_verdicts(ring: RingTable) -> tuple[Verdict, Verdict]:
     """The (nil-clean, weakly nil-clean) verdicts: the least element
     outside N + E, and outside (N + E) union (N - E)."""
     classes = element_classes(ring)
-    nil = np.fromiter(classes.nilpotents, dtype=np.int64)
-    idem = np.fromiter(classes.idempotents, dtype=np.int64)
+    nil = np.flatnonzero(classes.nilpotents)
+    idem = np.flatnonzero(classes.idempotents)
     covered = np.zeros(ring.order, dtype=bool)
     verdicts = []
     for summands in (idem, ring.neg[idem]):
@@ -196,7 +195,7 @@ def weakly_nil_clean_criterion(ring: RingTable) -> bool:
     # R/N boolean, Z3 or boolean x Z3
     by_nilradical = _shape_mod_nilradical(ring)[1]
     # J nil and the same shape for R/J
-    jac_is_nil = set(jacobson_radical(ring).key) <= set(nilradical(ring).key)
+    jac_is_nil = bool(element_classes(ring).nilpotents[jacobson_radical(ring).members].all())
     by_jacobson = jac_is_nil and _shape_mod_jacobson(ring)[1]
 
     if not (by_residues == by_nilradical == by_jacobson):
@@ -250,8 +249,7 @@ def _exactly_one(conditions: dict[int, bool], ring: RingTable, group: AbelianGro
 
 def _three_is_nilpotent(ring: RingTable) -> bool:
     """Whether the element 3*1 of the ring is nilpotent."""
-    three = ring.int_mul(3, ring.one)
-    return three in element_classes(ring).nilpotents
+    return bool(element_classes(ring).nilpotents[ring.int_mul(3, ring.one)])
 
 
 def nil_clean_group_ring_predicate(ring: RingTable, group: AbelianGroup) -> bool:
@@ -306,17 +304,9 @@ def weakly_nil_neat_group_ring_predicate(ring: RingTable, group: AbelianGroup) -
 
 
 def _element_profiles(ring: RingTable) -> list[tuple[int, bool, bool, bool]]:
-    orders = additive_orders(ring)
     classes = element_classes(ring)
-    return [
-        (
-            int(orders[x]),
-            x in classes.nilpotents,
-            x in classes.idempotents,
-            x in classes.units,
-        )
-        for x in range(ring.order)
-    ]
+    masks = (additive_orders(ring), classes.nilpotents, classes.idempotents, classes.units)
+    return list(zip(*(m.tolist() for m in masks)))
 
 
 def ring_isomorphic(left: RingTable, right: RingTable, *, cap: int = 256) -> Optional[np.ndarray]:
@@ -408,67 +398,37 @@ def encode_witness(witness):
 
 PROPERTIES = ("nil_clean", "weakly_nil_clean", "nil_neat", "weakly_nil_neat")
 
-
-@dataclass
-class ClassificationReport:
-    """Per-ring verdicts for the four properties, with witnesses."""
-
-    label: str
-    order: int
-    nil_clean: Verdict
-    weakly_nil_clean: Verdict
-    nil_neat: Verdict
-    weakly_nil_neat: Verdict
-
-    def verdicts(self) -> dict[str, Verdict]:
-        return {name: getattr(self, name) for name in PROPERTIES}
-
-    def to_dict(self) -> dict:
-        # "method" records that both derivations decided every verdict
-        return {
-            "ring": self.label,
-            "order": self.order,
-            "verdicts": {
-                name: {"value": v.ok, "method": "both", "witness": encode_witness(v.witness)}
-                for name, v in self.verdicts().items()
-            },
-        }
+# (p, q): every ring with property p has property q
+_IMPLICATIONS = (
+    ("nil_clean", "weakly_nil_clean"),
+    ("nil_clean", "nil_neat"),
+    ("weakly_nil_clean", "weakly_nil_neat"),
+    ("nil_neat", "weakly_nil_neat"),
+)
 
 
-def classify_ring(ring: RingTable) -> ClassificationReport:
-    """Decide the four properties definitionally and by criterion.
+def classify_ring(ring: RingTable) -> dict[str, Verdict]:
+    """The four properties' verdicts by name, in :data:`PROPERTIES` order.
 
-    The two answers are compared and any mismatch raises
-    :class:`DisagreementError`; the reported witnesses come from the
+    Each property is decided definitionally and by criterion, and a
+    mismatch raises :class:`DisagreementError`, as does a verdict set
+    that breaks an implication between the properties (nil-clean implies
+    the other three, and so on).  The witnesses come from the
     definitional scans.
     """
-    definitional = (*_clean_verdicts(ring), *_neat_verdicts(ring))
+    verdicts = dict(zip(PROPERTIES, (*_clean_verdicts(ring), *_neat_verdicts(ring))))
     criteria = (
         is_nil_clean_criterion(ring),
         weakly_nil_clean_criterion(ring),
         is_nil_neat_criterion(ring),
         weakly_nil_neat_criterion(ring),
     )
-    for name, verdict, criterion in zip(PROPERTIES, definitional, criteria):
+    for (name, verdict), criterion in zip(verdicts.items(), criteria):
         if verdict.ok != criterion:
             raise DisagreementError(
                 f"{name}: definitional={verdict.ok} criterion={criterion} on {ring.label}"
             )
-    report = ClassificationReport(ring.label, ring.order, *definitional)
-    _check_hierarchy(report)
-    return report
-
-
-def _check_hierarchy(report: ClassificationReport) -> None:
-    v = {name: verdict.ok for name, verdict in report.verdicts().items()}
-    implications = (
-        ("nil_clean", "weakly_nil_clean"),
-        ("nil_clean", "nil_neat"),
-        ("weakly_nil_clean", "weakly_nil_neat"),
-        ("nil_neat", "weakly_nil_neat"),
-    )
-    for weak, strong in implications:
-        if v[weak] and not v[strong]:
-            raise DisagreementError(
-                f"hierarchy violated on {report.label}: {weak} holds but {strong} does not"
-            )
+    for p, q in _IMPLICATIONS:
+        if verdicts[p].ok and not verdicts[q].ok:
+            raise DisagreementError(f"hierarchy violated on {ring.label}: {p} holds but {q} does not")
+    return verdicts

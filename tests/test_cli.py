@@ -218,6 +218,25 @@ def test_generator_beyond_int64_is_an_error_not_a_traceback(command):
     assert done.stderr == "error: generator 99999999999999999999 is not an element index of Z4 (order 4)\n"
 
 
+def test_radical_and_classify_name_a_quotient_alike(capsys):
+    # (6, 4) and (2) generate the same ideal of Z12
+    names = []
+    for command in ("classify", "radical"):
+        code, out, _ = run_cli(capsys, command, "Z12/(6,4)", "--json")
+        assert code == EXIT_OK
+        names.append(json.loads(out)["ring"])
+    assert names == ["Z12/(2)", "Z12/(2)"]
+
+
+def test_classify_disagreement_exits_3_without_traceback(capsys, monkeypatch):
+    honest = ringlab.classify.is_nil_neat_criterion
+    monkeypatch.setattr(ringlab.classify, "is_nil_neat_criterion", lambda ring: not honest(ring))
+    code, out, err = run_cli(capsys, "classify", "Z4")
+    assert code == EXIT_DISAGREEMENT
+    assert out == ""
+    assert err == "disagreement: nil_neat: definitional=True criterion=False on Z4\n"
+
+
 def test_radical_z4(capsys):
     code, out, _ = run_cli(capsys, "radical", "Z4", "--json")
     assert code == EXIT_OK

@@ -64,6 +64,7 @@ def test_group_catalog_counts_match_classification():
     for g in groups:
         by_order[g.order] = by_order.get(g.order, 0) + 1
     assert by_order == util.ABELIAN_GROUP_COUNTS
+    assert group_catalog(0) == []
 
 
 def test_group_ring_z3_c2_is_z3_squared():

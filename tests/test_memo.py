@@ -1,10 +1,16 @@
 """Derived ring facts are computed once per ring and keep no ring alive."""
 
+import dataclasses
 import sys
 
+import numpy as np
+import pytest
+
 from ringlab import (
+    IdealSet,
     classify_ring,
     direct_product,
+    element_classes,
     enumerate_ideals,
     evaluate,
     group_ring,
@@ -21,7 +27,7 @@ from ringlab import (
     weakly_nil_clean_group_ring_predicate,
     weakly_nil_neat_group_ring_predicate,
 )
-from ringlab import classify, ideals
+from ringlab import classify, ideals, rings
 from ringlab.sweep import SweepConfig, ring_catalog, run_sweep
 
 
@@ -127,3 +133,35 @@ def test_memo_holds_no_reference_to_the_ring():
         fact(base)
     karpilovsky_radical(view)
     assert (sys.getrefcount(ring), sys.getrefcount(base)) == before
+
+
+def _arrays(value):
+    """Every numpy array inside a memo value: in tuples (a verdict's
+    witness included), dataclass fields and ideal members."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, IdealSet):
+        yield value.members
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from _arrays(item)
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _arrays(getattr(value, f.name))
+
+
+def test_memoized_arrays_are_read_only():
+    memoized = {
+        fn.__wrapped__
+        for module in (rings, ideals, classify)
+        for fn in vars(module).values()
+        if callable(fn) and hasattr(fn, "__wrapped__")
+    }
+    for ring in (make_zmod(12), group_ring(make_zmod(9), make_group([3])).ring):
+        classify_ring(ring)
+        enumerate_ideals(ring)
+        assert set(ring._facts) == memoized, ring.label
+        arrays = [a for value in ring._facts.values() for a in _arrays(value)]
+        assert arrays and not any(a.flags.writeable for a in arrays), ring.label
+    with pytest.raises(ValueError):
+        element_classes(ring).units[0] = True

@@ -20,6 +20,11 @@ import numpy as np
 import ringlab
 
 
+def indices(mask) -> set[int]:
+    """The element indices a boolean mask marks, as a set of ints."""
+    return set(np.flatnonzero(mask).tolist())
+
+
 def zn_nilpotents(n: int) -> set[int]:
     return {x for x in range(n) if any(pow(x, k, n) == 0 for k in range(1, n + 1))}
 
