@@ -17,7 +17,6 @@ from .rings import (
     ElementClasses,
     RingLabError,
     RingTable,
-    characteristic,
     direct_product,
     element_classes,
     make_zmod,
@@ -53,7 +52,6 @@ from .classify import (
     is_weakly_nil_neat_definitional,
     nil_clean_group_ring_predicate,
     nil_neat_group_ring_predicate,
-    ring_isomorphic,
     weakly_nil_clean_criterion,
     weakly_nil_clean_group_ring_predicate,
     weakly_nil_neat_criterion,
@@ -79,7 +77,6 @@ __all__ = [
     "ElementClasses",
     "RingLabError",
     "RingTable",
-    "characteristic",
     "direct_product",
     "element_classes",
     "make_zmod",
@@ -109,7 +106,6 @@ __all__ = [
     "is_weakly_nil_neat_definitional",
     "nil_clean_group_ring_predicate",
     "nil_neat_group_ring_predicate",
-    "ring_isomorphic",
     "weakly_nil_clean_criterion",
     "weakly_nil_clean_group_ring_predicate",
     "weakly_nil_neat_criterion",

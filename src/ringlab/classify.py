@@ -33,7 +33,6 @@ import numpy as np
 from .group_algebra import AbelianGroup
 from .ideals import (
     IdealSet,
-    enumerate_ideals,
     is_field,
     jacobson_radical,
     maximal_ideals,
@@ -42,13 +41,10 @@ from .ideals import (
     quotient_ring,
 )
 from .rings import (
-    CapExceeded,
     DisagreementError,
     RingTable,
     _gather,
     _memo,
-    additive_orders,
-    characteristic,
     element_classes,
 )
 
@@ -301,89 +297,6 @@ def weakly_nil_neat_group_ring_predicate(ring: RingTable, group: AbelianGroup) -
         3: nontrivial and group.is_p_group(3) and wnc and _three_is_nilpotent(ring),
         4: group.order == 2 and ring.order == 3,
     }, ring, group)
-
-
-def _element_profiles(ring: RingTable) -> list[tuple[int, bool, bool, bool]]:
-    classes = element_classes(ring)
-    masks = (additive_orders(ring), classes.nilpotents, classes.idempotents, classes.units)
-    return list(zip(*(m.tolist() for m in masks)))
-
-
-def ring_isomorphic(left: RingTable, right: RingTable, *, cap: int = 256) -> Optional[np.ndarray]:
-    """An isomorphism ``left -> right`` as the index array of its images,
-    or ``None`` if the rings are not isomorphic.
-
-    Pruned by cheap invariants first (order, characteristic, per-element
-    profiles of additive order / nilpotency / idempotency / invertibility,
-    ideal count), then extends a partial map generator by generator with
-    full closure propagation, so most of the table is forced rather than
-    guessed.  Propagation checks every newly mapped element against every
-    mapped one in both tables, and no image is used twice, so a total map
-    is a bijection preserving 0, 1, + and * by construction.
-    """
-    if left.order != right.order:
-        return None
-    n = left.order
-    if n > cap:
-        raise CapExceeded(f"isomorphism search capped at order {cap}, got {n}")
-    if characteristic(left) != characteristic(right):
-        return None
-    prof_l = _element_profiles(left)
-    prof_r = _element_profiles(right)
-    if sorted(prof_l) != sorted(prof_r):
-        return None
-    if len(enumerate_ideals(left, cap=n)) != len(enumerate_ideals(right, cap=n)):
-        return None
-
-    candidates = {
-        x: [y for y in range(n) if prof_r[y] == prof_l[x]] for x in range(n)
-    }
-
-    def propagate(fmap: np.ndarray, used: np.ndarray, queue: list[int]) -> bool:
-        while queue:
-            a = queue.pop()
-            mapped = np.flatnonzero(fmap >= 0)
-            for table_l, table_r in ((left.add, right.add), (left.mul, right.mul)):
-                xs = table_l[a, mapped]
-                ys = table_r[fmap[a], fmap[mapped]]
-                for x, y in zip(map(int, xs), map(int, ys)):
-                    fx = fmap[x]
-                    if fx == -1:
-                        if used[y]:
-                            return False
-                        fmap[x] = y
-                        used[y] = True
-                        queue.append(x)
-                    elif fx != y:
-                        return False
-        return True
-
-    def backtrack(fmap: np.ndarray, used: np.ndarray) -> Optional[np.ndarray]:
-        unmapped = np.flatnonzero(fmap < 0)
-        if unmapped.size == 0:
-            return fmap
-        x = int(unmapped[0])
-        for y in candidates[x]:
-            if used[y]:
-                continue
-            fmap2 = fmap.copy()
-            used2 = used.copy()
-            fmap2[x] = y
-            used2[y] = True
-            if propagate(fmap2, used2, [x]):
-                found = backtrack(fmap2, used2)
-                if found is not None:
-                    return found
-        return None
-
-    fmap = np.full(n, -1, dtype=np.int64)
-    used = np.zeros(n, dtype=bool)
-    fmap[left.zero] = right.zero
-    fmap[left.one] = right.one
-    used[right.zero] = used[right.one] = True
-    if not propagate(fmap, used, [left.zero, left.one]):
-        return None
-    return backtrack(fmap, used)
 
 
 def encode_witness(witness):

@@ -51,12 +51,23 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _cap(text: str) -> int:
+    """A cap on ring orders, which is malformed below 2: no ring is smaller."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 2:
+        raise argparse.ArgumentTypeError(f"must be >= 2 (no ring has order below 2), got {cap}")
+    return cap
+
+
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="ringlab", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"ringlab {__version__}")
-    parser.add_argument("--order-cap", type=int, default=DEFAULT_ORDER_CAP,
+    parser.add_argument("--order-cap", type=_cap, default=DEFAULT_ORDER_CAP,
                         help="largest constructible ring order")
-    parser.add_argument("--ideal-cap", type=int, default=DEFAULT_IDEAL_CAP,
+    parser.add_argument("--ideal-cap", type=_cap, default=DEFAULT_IDEAL_CAP,
                         help="largest ring order whose ideal lattice the ideals command lists")
     sub = parser.add_subparsers(dest="command", required=True)
 

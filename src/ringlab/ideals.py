@@ -156,6 +156,13 @@ def minimal_generators(ring: RingTable, ideal: IdealSet) -> list[int]:
     return _span(ring, ideal.members)[1] or [ring.zero]
 
 
+def _in_canonical_order(ring: RingTable, member_arrays) -> tuple[IdealSet, ...]:
+    """Ideals of ``ring`` from their sorted member arrays, ordered by
+    size and then lexicographically by member list."""
+    ordered = sorted(member_arrays, key=lambda m: (m.size, tuple(m)))
+    return tuple(IdealSet(ring, m, validate=False) for m in ordered)
+
+
 def enumerate_ideals(ring: RingTable, *, cap: int = DEFAULT_IDEAL_CAP) -> tuple[IdealSet, ...]:
     """The complete ideal lattice.
 
@@ -193,8 +200,7 @@ def _lattice(ring: RingTable) -> tuple[IdealSet, ...]:
             if key not in known:
                 known[key] = joined
                 queue.append(joined)
-    ordered = sorted(known.values(), key=lambda m: (m.size, tuple(m)))
-    return tuple(IdealSet(ring, m, validate=False) for m in ordered)
+    return _in_canonical_order(ring, known.values())
 
 
 def quotient_ring(ring: RingTable, ideal: IdealSet) -> RingTable:
@@ -273,8 +279,7 @@ def maximal_ideals(ring: RingTable) -> tuple[IdealSet, ...]:
     for e in _primitive_idempotents(ring, np.flatnonzero(classes.idempotents)):
         rest = ring.add[ring.one, ring.neg[e]]  # 1 - e
         found.append(np.flatnonzero(~classes.units[ring.add[ring.mul[:, e], rest]]))
-    found.sort(key=lambda m: (m.size, tuple(m)))
-    return tuple(IdealSet(ring, m, validate=False) for m in found)
+    return _in_canonical_order(ring, found)
 
 
 @_memo
@@ -297,8 +302,7 @@ def minimal_ideals(ring: RingTable) -> tuple[IdealSet, ...]:
         if not covered[x]:  # else x lies in a minimal ideal found, which is Rx
             found.append(_principal(ring, x))
             covered[found[-1]] = True
-    found.sort(key=lambda m: (m.size, tuple(m)))
-    return tuple(IdealSet(ring, m, validate=False) for m in found)
+    return _in_canonical_order(ring, found)
 
 
 @_memo

@@ -293,27 +293,3 @@ def element_classes(r: RingTable) -> ElementClasses:
         raise DisagreementError(f"corrupted table {r.label}: fails {'; '.join(broken)}")
     return ElementClasses(_readonly(nil), _readonly(idem), _readonly(units))
 
-
-def characteristic(r: RingTable) -> int:
-    """Least k >= 1 with k * 1 = 0."""
-    acc = r.one
-    k = 1
-    while acc != r.zero:
-        acc = int(r.add[acc, r.one])
-        k += 1
-    return k
-
-
-def additive_orders(r: RingTable) -> np.ndarray:
-    """Order of each element in the additive group."""
-    n = r.order
-    idx = np.arange(n)
-    out = np.zeros(n, dtype=np.int64)
-    cur = idx.copy()
-    for k in range(1, n + 1):
-        hit = (cur == r.zero) & (out == 0)
-        out[hit] = k
-        if (out != 0).all():
-            break
-        cur = r.add[cur, idx]
-    return out

@@ -28,7 +28,6 @@ from ringlab import (
     make_group,
     make_zmod,
     nilradical,
-    ring_isomorphic,
     weakly_nil_clean_criterion,
     weakly_nil_neat_criterion,
     weakly_nil_neat_group_ring_predicate,
@@ -108,7 +107,7 @@ def test_acceptance_5_golden_facts():
         not is_nil_clean_definitional(z3).ok,
         not is_weakly_nil_clean_definitional(z3z3).ok,
         is_weakly_nil_neat_definitional(z3z3).ok,
-        ring_isomorphic(group_ring(z3, make_group([2])).ring, z3z3) is not None,
+        util.ring_isomorphic(group_ring(z3, make_group([2])).ring, z3z3) is not None,
         weakly_nil_neat_group_ring_predicate(z3, make_group([2])) == (True, 4),
         weakly_nil_neat_group_ring_predicate(z2, make_group([2])) == (True, 2),
         weakly_nil_neat_group_ring_predicate(z2, make_group([3])) == (False, None),

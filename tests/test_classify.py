@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 import ringlab.classify
 import util
 from ringlab import (
-    CapExceeded,
     DisagreementError,
     Verdict,
     classify_ring,
@@ -31,7 +30,6 @@ from ringlab import (
     jacobson_radical,
     parse_ring_expr,
     quotient_ring,
-    ring_isomorphic,
     weakly_nil_clean_criterion,
     weakly_nil_clean_group_ring_predicate,
     weakly_nil_neat_criterion,
@@ -230,14 +228,16 @@ def test_predicate_cross_checked_on_z9_c3():
 
 def test_ring_isomorphic_examples():
     rg, z3z3 = group_ring(_z(3), make_group([2])).ring, _prod(3, 3)
-    iso = ring_isomorphic(rg, z3z3)
+    iso = util.ring_isomorphic(rg, z3z3)
     assert iso is not None and len(set(util.ring_hom(rg, z3z3, iso))) == z3z3.order
-    assert ring_isomorphic(_z(4), _prod(2, 2)) is None  # characteristic 4 vs 2
+    assert util.ring_isomorphic(_z(4), _prod(2, 2)) is None  # characteristic 4 vs 2
     z6, z2z3 = _z(6), _prod(2, 3)
-    iso6 = ring_isomorphic(z6, z2z3)
+    iso6 = util.ring_isomorphic(z6, z2z3)
     assert iso6 is not None and len(set(util.ring_hom(z6, z2z3, iso6))) == z2z3.order
-    with pytest.raises(CapExceeded):
-        ring_isomorphic(_z(2), _z(2), cap=1)
+    # F2[x]/(x^3) vs F2[x,y]/(x,y)^2: equal element profiles, so only the search refutes it
+    cubic, square = (evaluate(parse_ring_expr(f"GR(Z2, {g})/(15)")) for g in ("C4", "C2 x C2"))
+    assert sorted(util.element_profiles(cubic)) == sorted(util.element_profiles(square))
+    assert util.ring_isomorphic(cubic, square) is None
 
 
 def _quotient_verdict_by_lattice(ring, decide):

@@ -320,6 +320,18 @@ def test_verify_theorem_misconfiguration(capsys):
     assert "max_group_order" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--order-cap", "-5", "classify", "Z2"),
+    ("--order-cap", "1", "classify", "Z2"),
+    ("--ideal-cap", "-1", "ideals", "Z4"),
+], ids=["order-cap=-5", "order-cap=1", "ideal-cap=-1"])
+def test_cap_below_two_is_usage_error(capsys, argv):
+    # no ring has order below 2, so such a cap is malformed, not exceeded
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith(f"usage error: argument {argv[0]}: must be >= 2")
+
+
 def test_verify_theorem_warm_cache_is_stable(tmp_path, capsys):
     cache_path = tmp_path / "cache.jsonl"
     args = (

@@ -2,9 +2,10 @@
 
 The oracles are computed with plain integer arithmetic (or frozen
 from well-known tables), deliberately avoiding the table machinery
-under test.  The exceptions are :func:`axiom_violations`, an exhaustive
-numpy scan of the raw tables, and :func:`peirce_shape`, a search over
-them; neither shares code with the package.
+under test.  The exceptions are three table-level searches that share
+no code with the package: :func:`axiom_violations`, an exhaustive numpy
+scan of the raw tables, :func:`peirce_shape`, a search over them, and
+:func:`ring_isomorphic`, a backtracking isomorphism search.
 """
 
 from __future__ import annotations
@@ -211,6 +212,74 @@ def peirce_shape(ring) -> tuple[bool, bool, int | None]:
         if np.unique(ring.mul[:, f]).size == 3:
             return boolean, z3, e
     return boolean, z3, None
+
+
+def element_profiles(r) -> list[tuple[int, bool, bool, bool]]:
+    """(additive order, nilpotent, idempotent, unit) for every element,
+    walked on the raw tables; the additive order of 1 is the
+    characteristic."""
+    add, mul = r.add.tolist(), r.mul.tolist()
+    profiles = []
+    for x in range(r.order):
+        order, multiple = 1, x
+        while multiple != r.zero:
+            order, multiple = order + 1, add[multiple][x]
+        power = x
+        for _ in range(r.order):  # x^(n+1) = 0 iff x is nilpotent
+            power = mul[power][x]
+        profiles.append((order, power == r.zero, mul[x][x] == x, r.one in mul[x]))
+    return profiles
+
+
+def ring_isomorphic(left, right) -> list[int] | None:
+    """An isomorphism ``left -> right`` as the list of its images, or
+    ``None`` if there is none.
+
+    Reads only ``order``, ``add``, ``mul``, ``zero`` and ``one``.  An
+    element may only go to one with the same :func:`element_profiles`
+    entry.  From 0 -> 0 and 1 -> 1 the partial map is closed under + and
+    *: each newly mapped element is checked against every mapped one in
+    both tables, and the forced images are mapped in turn; a clash, a
+    reused image or a profile mismatch refutes the branch.  The first
+    unmapped element is then tried at every image, with backtracking.
+    A total map is thus a bijection preserving 0, 1, + and *, and
+    ``None`` means every branch was refuted.
+    """
+    n = left.order
+    if n != right.order:
+        return None
+    prof_l, prof_r = element_profiles(left), element_profiles(right)
+    if sorted(prof_l) != sorted(prof_r):
+        return None
+    tables = [(left.add.tolist(), right.add.tolist()), (left.mul.tolist(), right.mul.tolist())]
+
+    def extend(fmap, pairs):
+        fmap, queue = list(fmap), list(pairs)
+        while queue:
+            x, y = queue.pop()
+            if fmap[x] is not None:
+                if fmap[x] != y:
+                    return None
+                continue
+            if y in fmap or prof_l[x] != prof_r[y]:
+                return None
+            fmap[x] = y
+            for a, b in enumerate(fmap):
+                if b is not None:
+                    queue.extend((tl[x][a], tr[y][b]) for tl, tr in tables)
+        return fmap
+
+    def search(fmap):
+        if fmap is None or None not in fmap:
+            return fmap
+        x = fmap.index(None)
+        for y in range(n):
+            found = search(extend(fmap, [(x, y)]))
+            if found is not None:
+                return found
+        return None
+
+    return search(extend([None] * n, [(left.zero, right.zero), (left.one, right.one)]))
 
 
 def coset_projection(ring, ideal, quot) -> list[int]:
