@@ -10,6 +10,12 @@ coefficient occupies indices ``0 .. |R|-1`` unchanged.  A coefficient
 is a base-``|R|`` digit of the index, so no coefficient table is kept.
 :func:`group_ring` builds RG's tables straight from those of R, and
 :func:`karpilovsky_radical` reads J(RG) off R and G alone.
+
+RG is an R-algebra, so u * (a y) = (a u) * y for a in R, where a x
+scales each coefficient of x by a.  :func:`group_ring` uses this to
+gather from RG's ``add`` only for the least member b of each associate
+class {a b : a a unit} of R; every other column block of ``mul`` is a
+block b read with its rows and columns permuted by unit scalings.
 """
 
 from __future__ import annotations
@@ -152,6 +158,34 @@ def _digits(count: int, base: int, width: int) -> np.ndarray:
     return ((np.arange(count, dtype=np.int64) // radix[:, None]) % base).astype(_table_dtype(base))
 
 
+def _associates(base: RingTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Split each c in R as a*b with a a unit and b the least member of
+    c's associate class {a*c : a a unit}.
+
+    Returns ``least`` (b for each c) and, for each c, the units
+    ``scale[c]`` = a and ``unscale[c]`` = a^-1.  Two passes over ``mul``
+    in row blocks: the first finds each unit's inverse where its row
+    hits 1, the second the least entry of each row over the unit
+    columns and the unit it sits at.
+    """
+    n = base.order
+    units = np.empty(n, dtype=bool)
+    inverse = np.empty(n, dtype=np.intp)
+    for rows in _row_blocks(n, n):
+        hits = base.mul[rows] == base.one
+        units[rows] = hits.any(axis=1)
+        inverse[rows] = hits.argmax(axis=1)
+    unit_idx = np.flatnonzero(units)
+    least = np.empty(n, dtype=np.intp)
+    unscale = np.empty(n, dtype=np.intp)
+    for rows in _row_blocks(n, unit_idx.size):
+        orbit = base.mul[rows].take(unit_idx, axis=1)
+        k = orbit.argmin(axis=1)
+        least[rows] = np.take_along_axis(orbit, k[:, None], axis=1)[:, 0]
+        unscale[rows] = unit_idx[k]
+    return least, inverse[unscale], unscale
+
+
 def group_ring(base: RingTable, group: AbelianGroup, *, cap: int = DEFAULT_ORDER_CAP) -> GroupRingView:
     """Build RG straight from the tables of R, whose zero must be index 0.
 
@@ -160,10 +194,18 @@ def group_ring(base: RingTable, group: AbelianGroup, *, cap: int = DEFAULT_ORDER
     g_0 .. g_t is add_R[u_t, v_t] n^t + (the table on g_0 .. g_(t-1)).
     Multiplication is additive in its second argument: u * (c g_t) has
     index sum_h mul_R[u_h, c] n^pos(g_h g_t), and for v < n^t, u * (c n^t
-    + v) = u * (c g_t) + u * v.  So the columns, filled in increasing
-    order, cost one gather into RG's own ``add`` per entry: a flat
-    ``np.take`` whose intp indices are formed one row block of at most
-    ``_BLOCK`` entries at a time.
+    + v) = u * (c g_t) + u * v.  So ``mul`` is filled in increasing
+    column order, one block of columns c n^t + v (v < n^t) per nonzero c
+    in R.
+
+    Only a block whose c is the least member b of its associate class
+    gathers from RG's own ``add``, once per entry: a flat ``np.take``
+    whose intp indices are formed one row block of at most ``_BLOCK``
+    entries at a time.  Every other c is a*b with a a unit, and RG is an
+    R-algebra, so u * (a y) = (a u) * y.  With y = b g_t + a^-1 v, that
+    block is block b with its rows permuted by u -> a u and its columns
+    by v -> a^-1 v, where a x = sum_h mul_R[a, x_h] n^h digit by digit:
+    each row of block b is read as one contiguous slice.
     """
     n = base.order
     m = group.order
@@ -176,6 +218,7 @@ def group_ring(base: RingTable, group: AbelianGroup, *, cap: int = DEFAULT_ORDER
         add = _product_table(base.add, add, dt)
     digits = _digits(size, n, m)
     radix = n ** np.arange(m, dtype=np.int64)
+    least, scale, unscale = _associates(base)
     elements = group.elements()
     index = {e: i for i, e in enumerate(elements)}
     flat = add.ravel()  # add[u, v] is flat[u * size + v]
@@ -184,10 +227,18 @@ def group_ring(base: RingTable, group: AbelianGroup, *, cap: int = DEFAULT_ORDER
         pos = [index[tuple((a + b) % d for a, b, d in zip(eh, et, group.factors))] for eh in elements]
         lo = n**t
         for c in range(1, n):
-            col = (base.mul[digits, c] * radix[pos, None]).sum(axis=0).astype(np.intp) * size
-            for rows in _row_blocks(size, lo):
-                idx = mul[rows, :lo] + col[rows, None]  # formed in intp, col's dtype
-                mul[rows, c * lo : (c + 1) * lo] = np.take(flat, idx)
+            b = least[c]
+            if b == c:
+                col = (base.mul[digits, c] * radix[pos, None]).sum(axis=0).astype(np.intp) * size
+                for rows in _row_blocks(size, lo):
+                    idx = mul[rows, :lo] + col[rows, None]  # formed in intp, col's dtype
+                    mul[rows, c * lo : (c + 1) * lo] = np.take(flat, idx)
+            else:  # c = a b: entry (u, v) of block c is entry (a u, a^-1 v) of block b
+                src_rows = (base.mul[scale[c], digits] * radix[:, None]).sum(axis=0)
+                src_cols = (base.mul[unscale[c], digits[:t, :lo]] * radix[:t, None]).sum(axis=0)
+                block = mul[:, b * lo : (b + 1) * lo]
+                for rows in _row_blocks(size, lo):
+                    mul[rows, c * lo : (c + 1) * lo] = block[src_rows[rows]].take(src_cols, axis=1)
     ring = RingTable(add, mul, zero=0, one=int(base.one), label=f"GR({base.label}, {group.label})")
     return GroupRingView(ring, base, group)
 

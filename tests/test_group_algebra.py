@@ -18,7 +18,9 @@ from ringlab import (
     make_group,
     make_zmod,
     nilradical,
+    parse_ring_expr,
 )
+from ringlab.expr import evaluate
 from ringlab.group_algebra import AbelianGroup
 from ringlab.sweep import group_catalog
 
@@ -169,7 +171,9 @@ def test_karpilovsky_matches_jacobson(n, factors):
 
 def test_iterated_group_ring_coherence():
     # R[C_outer x C_inner] is (R[C_inner])[C_outer], table for table
-    for n, outer, inner in ((2, 2, 2), (3, 2, 3), (2, 2, 4)):
+    # over Z4 and Z5 the outer base GR(Z_n, C2) has associate classes
+    # unlike those of any Z_n
+    for n, outer, inner in ((2, 2, 2), (3, 2, 3), (2, 2, 4), (4, 2, 2), (5, 2, 2)):
         base = make_zmod(n)
         twice = group_ring(group_ring(base, make_group([inner])).ring, make_group([outer]))
         direct = group_ring(base, make_group([outer, inner]))
@@ -203,6 +207,16 @@ def test_group_ring_matches_full_convolution(sweep_group_rings):
     views += [group_ring(make_zmod(2), make_group(f)) for f in ([2, 2, 2], [2, 4], [3, 3], [6], [7])]
     z2z2 = direct_product(make_zmod(2), make_zmod(2))
     views += [group_ring(base, make_group([5])) for base in (make_zmod(3), z2z2)]
+    # bases whose associate classes are not those of a Z_n or Z_a x Z_b:
+    # F4, Z3[x]/(x^2) and an order-27 ring with 18 units, then Z8
+    for text, groups in (
+        ("GR(Z2, C3)/(7)", [[2], [3]]),
+        ("GR(Z3, C3)/(13)", [[2], [3]]),
+        ("GR(Z9, C3)/(33,97)", [[2]]),
+        ("Z8", [[3]]),
+    ):
+        base = evaluate(parse_ring_expr(text))
+        views += [group_ring(base, make_group(g)) for g in groups]
     for view in views:
         ring = _reference_group_ring(view.base, view.group)
         for got, want in ((view.ring.add, ring.add), (view.ring.mul, ring.mul)):

@@ -15,9 +15,11 @@ from ringlab import (
     direct_product,
     element_classes,
     enumerate_ideals,
+    group_ring,
     ideal_generated,
     is_field,
     jacobson_radical,
+    make_group,
     make_zmod,
     maximal_ideals,
     minimal_ideals,
@@ -94,6 +96,21 @@ def test_quotient_cosets_are_found_in_row_blocks():
         tracemalloc.stop()
     assert quot.order == 2
     assert peak - quot.add.nbytes - quot.mul.nbytes <= 2 << 20, peak
+
+
+@pytest.mark.parametrize("text, cap", [("GR(Z9, C4)", 6561), ("GR(Z4096, 1)", 4096)])
+def test_group_ring_builds_one_scale_vector_at_a_time(text, cap):
+    # over Z4096, 4083 of the 4095 column blocks are rescaled ones; a
+    # table of every unit's scale vector would allocate 256 MiB
+    expr = parse_ring_expr(text)
+    base, group = evaluate(expr.base), make_group(expr.orders)
+    tracemalloc.start()
+    try:
+        ring = group_ring(base, group, cap=cap).ring
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - ring.add.nbytes - ring.mul.nbytes <= 8 << 20, peak
 
 
 def test_enumerate_ideals_examples():
