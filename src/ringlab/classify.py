@@ -13,8 +13,9 @@ Each property gets a definitional brute-force decider and a structural
 criterion in terms of radicals and residue fields; the criteria read the
 shapes of R/N and R/J off two counts and build neither quotient.  The
 deciders run in pairs: one element scan for both clean properties, one
-pass over the quotients by the minimal nonzero ideals for both neat
-ones, and each answers with a :class:`Verdict`.  :func:`classify_ring`
+pass over the minimal nonzero ideals M for both neat ones, and each
+answers with a :class:`Verdict`.  The neat pass reads each R/M on R's
+own cosets of M and builds no quotient ring.  :func:`classify_ring`
 always runs both derivations and raises :class:`DisagreementError` on
 a mismatch.
 
@@ -38,13 +39,13 @@ from .ideals import (
     maximal_ideals,
     minimal_ideals,
     nilradical,
-    quotient_ring,
 )
 from .rings import (
     DisagreementError,
     RingTable,
     _gather,
     _memo,
+    _row_blocks,
     element_classes,
 )
 
@@ -84,26 +85,58 @@ def is_weakly_nil_clean_definitional(ring: RingTable) -> Verdict:
     return _clean_verdicts(ring)[1]
 
 
+def _clean_mod(ring: RingTable, ideal: IdealSet, high: np.ndarray, sq_minus: np.ndarray) -> tuple[bool, bool]:
+    """(R/M nil-clean, R/M weakly nil-clean) for a proper ideal M, read
+    on the cosets x + M in R's own tables.
+
+    ``high`` holds x^(2^K) for K the bit length of |R|, so x is nilpotent
+    mod M iff it lies in M; ``sq_minus`` holds x^2 - x, so x is
+    idempotent mod M iff that lies in M.  Each coset is named by its
+    least member, found one row block at a time, and the scan asks
+    whether every coset is hit by n + e (then n - e) over those names.
+    """
+    member = np.zeros(ring.order, dtype=bool)
+    member[ideal.members] = True
+    rep = np.empty(ring.order, dtype=ring.add.dtype)  # least member of x + M
+    for rows in _row_blocks(ring.order, len(ideal)):
+        rep[rows] = ring.add[rows][:, ideal.members].min(axis=1)
+    is_rep = rep == np.arange(ring.order)
+    nil = np.flatnonzero(is_rep & member[high])
+    idem = np.flatnonzero(is_rep & member[sq_minus])
+    hit = np.zeros(ring.order, dtype=bool)
+    verdicts = []
+    for summands in (idem, ring.neg[idem]):
+        hit[_gather(ring.add, nil, summands, through=rep)] = True
+        verdicts.append(bool(hit[is_rep].all()))
+    return tuple(verdicts)
+
+
 @_memo
 def _neat_verdicts(ring: RingTable) -> tuple[Verdict, Verdict]:
     """The (nil-neat, weakly nil-neat) verdicts from R/M for the minimal M.
 
     Every R/I (I nonzero) is an image of such an R/M, and the earliest
     failing ideal in lattice order is minimal, so verdicts and witnesses
-    match a full-lattice scan.  The pass stops at the first R/M that is
-    not weakly nil-clean, which is not nil-clean either.
+    match a full-lattice scan.  Each R/M is scanned on R's cosets of M
+    by :func:`_clean_mod`, and no quotient ring is built.  The pass
+    stops at the first R/M that is not weakly nil-clean, which is not
+    nil-clean either.
     """
     nil_neat = fine = Verdict(True)
+    high = sq_minus = None
     for ideal in minimal_ideals(ring):
         if ideal.is_whole:
             continue  # a field: the zero ring, vacuously fine
-        quot = quotient_ring(ring, ideal)
-        # through the public name, so a wrapper of it sees every quotient;
-        # this fills the memo the nil-clean check then reads
-        weak = is_weakly_nil_clean_definitional(quot)
-        if nil_neat.ok and not is_nil_clean_definitional(quot).ok:
+        if high is None:  # x -> x^2 is the diagonal of mul
+            square = ring.mul.diagonal()
+            high = np.arange(ring.order)
+            for _ in range(ring.order.bit_length()):
+                high = square[high]
+            sq_minus = ring.add[square, ring.neg]
+        clean, weak = _clean_mod(ring, ideal, high, sq_minus)
+        if nil_neat.ok and not clean:
             nil_neat = Verdict(False, ideal)
-        if not weak.ok:
+        if not weak:
             return nil_neat, Verdict(False, ideal)
     return nil_neat, fine
 

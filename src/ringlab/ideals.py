@@ -11,8 +11,9 @@ the ideal lattice: a finite commutative ring is the product of
 the local rings Re over its primitive idempotents e, so each maximal
 ideal is read off one primitive idempotent and the units (see
 :func:`maximal_ideals`), and the Jacobson radical is a literal
-intersection of those maximal ideals.  Minimal ideals are principal
-and are read off the multiplication table, also without the lattice.
+intersection of those maximal ideals.  Minimal ideals are principal,
+Rx, and are found by a walk over the classes of equal |Ann(x)|, also
+without the lattice.
 The lattice, these ideals and both radicals are memoized on the ring
 as the :class:`IdealSet` objects callers receive (see
 :mod:`ringlab.rings`).  Everything is deterministic; ideal tuples are
@@ -284,24 +285,37 @@ def maximal_ideals(ring: RingTable) -> tuple[IdealSet, ...]:
 
 @_memo
 def minimal_ideals(ring: RingTable) -> tuple[IdealSet, ...]:
-    """All minimal nonzero ideals, in canonical order; a field has only R."""
-    # a minimal ideal is some Rx.  Rx is R/Ann(x) as a group, and Ry inside Rx has
-    # Ann(y) containing Ann(x), so Rx is minimal iff |Ann(y)| = |Ann(x)| for all nonzero y in Rx
+    """All minimal nonzero ideals, in canonical order; a field has only R.
+
+    A minimal ideal is some Rx, and Rx is R/Ann(x) as a group, so the
+    nonzero x are visited in classes of equal |Ann(x)|, largest first:
+    |Rx| ascending.  Rx is minimal unless x lies in a minimal ideal
+    already found or divides one of their generators g (g occurs in row
+    x of ``mul``): a non-minimal Rx properly contains a minimal Rg with
+    |Rg| < |Rx|, found in an earlier class, and g lies in Rx.  The
+    units, where Rx = R, are visited only in a field.
+    """
     n = ring.order
-    ann = np.empty(n, dtype=ring.mul.dtype)  # |Ann(x)|
+    ann = np.empty(n, dtype=ring.mul.dtype)  # |Ann(x)|, at most n
     for rows in _row_blocks(n, n):
-        ann[rows] = np.count_nonzero(ring.mul[rows] == ring.zero, axis=1)
-    rank = ann.copy()
-    rank[ring.zero] = 0  # so y = 0 never gives the largest |Ann(y)|
-    minimal = np.empty(n, dtype=bool)
-    for rows in _row_blocks(n, n):  # row x of mul is Rx
-        minimal[rows] = rank.take(ring.mul[rows]).max(axis=1) == ann[rows]
-    covered = np.zeros(n, dtype=bool)
+        ann[rows] = (ring.mul[rows] == ring.zero).sum(axis=1, dtype=ann.dtype)
+    decided = np.zeros(n, dtype=bool)  # zero, in a minimal ideal found, or a divisor of a generator
+    decided[ring.zero] = True
     found = []
-    for x in np.flatnonzero(minimal):
-        if not covered[x]:  # else x lies in a minimal ideal found, which is Rx
-            found.append(_principal(ring, x))
-            covered[found[-1]] = True
+    for size in np.unique(ann[~decided])[::-1]:
+        if size == 1 and found:
+            break
+        gens = []
+        for x in np.flatnonzero((ann == size) & ~decided):
+            if not decided[x]:
+                gens.append(x)
+                found.append(_principal(ring, x))
+                decided[found[-1]] = True
+        for g in gens:  # each pass reads only the rows still undecided
+            later = np.flatnonzero((ann < size) & (ann > 1) & ~decided)
+            for rows in _row_blocks(later.size, n):
+                divides = (ring.mul.take(later[rows], axis=0) == g).any(axis=1)
+                decided[later[rows][divides]] = True
     return _in_canonical_order(ring, found)
 
 

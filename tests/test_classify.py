@@ -35,6 +35,7 @@ from ringlab import (
     weakly_nil_neat_criterion,
     weakly_nil_neat_group_ring_predicate,
 )
+from ringlab.sweep import SweepConfig, group_catalog, ring_catalog
 
 
 def _z(n):
@@ -265,6 +266,19 @@ def test_neat_deciders_match_full_lattice_scan(plain_ring_catalog, sweep_group_r
             verdict = neat(ring)
             got = (verdict.ok, None if verdict.witness is None else verdict.witness.key)
             assert got == _quotient_verdict_by_lattice(ring, clean), (ring.label, neat.__name__)
+
+
+def test_neat_deciders_match_quotient_scan():
+    # the 85 pairs of the sweep up to |G| = 12 and |RG| = 4096
+    config = SweepConfig(max_group_order=12, max_groupring_order=4096)
+    pairs = [(evaluate(expr), group) for expr in ring_catalog(config)
+             for group in group_catalog(config.max_group_order)]
+    pairs = [(base, group) for base, group in pairs if base.order**group.order <= config.max_groupring_order]
+    assert len(pairs) == 85
+    for base, group in pairs:
+        ring = group_ring(base, group).ring
+        want = util.neat_verdicts_by_quotients(ring)
+        assert (is_nil_neat_definitional(ring), is_weakly_nil_neat_definitional(ring)) == want, ring.label
 
 
 def test_hierarchy_on_catalog():

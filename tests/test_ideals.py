@@ -18,6 +18,7 @@ from ringlab import (
     group_ring,
     ideal_generated,
     is_field,
+    is_weakly_nil_neat_definitional,
     jacobson_radical,
     make_group,
     make_zmod,
@@ -111,6 +112,20 @@ def test_group_ring_builds_one_scale_vector_at_a_time(text, cap):
     finally:
         tracemalloc.stop()
     assert peak - ring.add.nbytes - ring.mul.nbytes <= 8 << 20, peak
+
+
+def test_neat_pass_scans_cosets_in_row_blocks():
+    # the first nonwhole minimal ideal of GR(Z9, C4) has a quotient of
+    # order 2187, whose two tables alone would take 18.2 MiB
+    ring = evaluate(parse_ring_expr("GR(Z9, C4)"), order_cap=6561)
+    minimal_ideals(ring)  # memoized, so the trace sees the coset scans alone
+    tracemalloc.start()
+    try:
+        is_weakly_nil_neat_definitional(ring)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20, peak
 
 
 def test_enumerate_ideals_examples():
@@ -228,10 +243,12 @@ def _minimal_generators_reference(ring, members):
 
 @pytest.fixture(scope="module")
 def ideal_test_rings(plain_ring_catalog, sweep_group_rings):
-    """The plain catalog, the sweep group rings and three rings whose
-    ideals need several principal summands."""
+    """The plain catalog, the sweep group rings, three rings whose
+    ideals need several principal summands, the field F4 and F4 x Z4,
+    where the minimal F4 x 0 and the non-minimal 0 x Z4 have one size."""
     rings = list(plain_ring_catalog) + [view.ring for view in sweep_group_rings]
-    for label in ("Z2 x Z2 x Z2 x Z2 x Z2 x Z2", "GR(Z2, C2 x C2 x C2)", "GR(Z4, C2 x C2)"):
+    for label in ("Z2 x Z2 x Z2 x Z2 x Z2 x Z2", "GR(Z2, C2 x C2 x C2)", "GR(Z4, C2 x C2)",
+                  "GR(Z2, C3)/(7)", "(GR(Z2, C3)/(7)) x Z4"):
         rings.append(evaluate(parse_ring_expr(label)))
     return rings
 
@@ -253,6 +270,12 @@ def test_minimal_ideals_match_lattice(ideal_test_rings):
         got = minimal_ideals(ring)
         assert [m.key for m in got] == want, ring.label
         assert all(m.members.dtype == np.int64 for m in got), ring.label
+
+
+@pytest.mark.parametrize("text", ["GR(Z9, C4)", "GR(Z3, C2 x C2 x C2)"])
+def test_minimal_ideals_match_rank_rule_beyond_the_lattice_cap(text):
+    ring = evaluate(parse_ring_expr(text), order_cap=6561)
+    assert [m.key for m in minimal_ideals(ring)] == util.minimal_ideals_by_rank(ring)
 
 
 def test_minimal_generators_match_regeneration(ideal_test_rings):

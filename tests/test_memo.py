@@ -87,31 +87,27 @@ def test_weakly_nil_clean_criterion_is_derived_once_per_ring(monkeypatch):
     assert calls == [base]
 
 
-def test_classify_ring_builds_each_minimal_quotient_once(monkeypatch):
+@pytest.mark.parametrize("decide", [classify_ring, is_nil_neat_definitional, is_weakly_nil_neat_definitional])
+@pytest.mark.parametrize("label", ["Z2 x Z2 x Z2 x Z2 x Z2 x Z2", "Z9 x Z3"])
+def test_neat_verdicts_build_no_ring(monkeypatch, label, decide):
+    # each R/M is scanned on R's cosets of M, and the criteria read the
+    # shapes of R/N and R/J off counts, so no table ring is built
+    ring = evaluate(parse_ring_expr(label))
+    calls = _record_calls(monkeypatch, rings.RingTable, "__init__")
+    decide(ring)
+    assert calls == []
+
+
+def test_neat_verdicts_scan_minimal_ideals_up_to_the_first_failure(monkeypatch):
     # Z2^6: six minimal ideals, all with nil-clean quotients; Z9 x Z3: the
-    # scan stops at 3Z9 x 0, the second minimal ideal.  The criteria read
-    # the shapes of R/N and R/J off counts and build no quotient.
-    calls = _record_calls(monkeypatch, classify, "quotient_ring")
+    # first quotient, by 0 x Z3, is weakly nil-clean and the second, by
+    # 3Z9 x 0, is not
+    calls = _record_calls(monkeypatch, classify, "_clean_mod")
     for label, expected in (("Z2 x Z2 x Z2 x Z2 x Z2 x Z2", 6), ("Z9 x Z3", 2)):
         ring = evaluate(parse_ring_expr(label))
         calls.clear()
         classify_ring(ring)
         assert len(calls) == expected, label
-
-
-def test_weakly_nil_neat_decides_each_minimal_quotient_through_the_public_decider(monkeypatch):
-    ring = evaluate(parse_ring_expr("Z2 x Z2 x Z2 x Z2 x Z2 x Z2"))
-    calls = _record_calls(monkeypatch, classify, "is_weakly_nil_clean_definitional")
-    assert is_weakly_nil_neat_definitional(ring).ok
-    assert [quot.order for quot in calls] == [32] * 6
-
-
-def test_neat_deciders_build_each_minimal_quotient_once(monkeypatch):
-    ring = evaluate(parse_ring_expr("Z2 x Z2 x Z2 x Z2 x Z2 x Z2"))
-    calls = _record_calls(monkeypatch, classify, "quotient_ring")
-    assert is_nil_neat_definitional(ring).ok
-    assert is_weakly_nil_neat_definitional(ring).ok
-    assert len(calls) == len(minimal_ideals(ring)) == 6
 
 
 def test_radicals_are_memoized_as_ideals():

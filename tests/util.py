@@ -2,10 +2,13 @@
 
 The oracles are computed with plain integer arithmetic (or frozen
 from well-known tables), deliberately avoiding the table machinery
-under test.  The exceptions are three table-level searches that share
+under test.  The exceptions are four table-level searches that share
 no code with the package: :func:`axiom_violations`, an exhaustive numpy
-scan of the raw tables, :func:`peirce_shape`, a search over them, and
-:func:`ring_isomorphic`, a backtracking isomorphism search.
+scan of the raw tables, :func:`peirce_shape`, a search over them,
+:func:`ring_isomorphic`, a backtracking isomorphism search, and
+:func:`minimal_ideals_by_rank`, an annihilator-size rule on them.
+:func:`neat_verdicts_by_quotients` is the other kind: it replays the
+neat deciders through package quotients, to check their coset scan.
 """
 
 from __future__ import annotations
@@ -280,6 +283,46 @@ def ring_isomorphic(left, right) -> list[int] | None:
         return None
 
     return search(extend([None] * n, [(left.zero, right.zero), (left.one, right.one)]))
+
+
+def minimal_ideals_by_rank(ring) -> list[tuple[int, ...]]:
+    """Member tuples of the minimal nonzero ideals, ordered by size and
+    then by members, from the raw tables.
+
+    Rx is R/Ann(x) as a group, and Ry inside Rx has Ann(y) containing
+    Ann(x), so Rx is minimal iff every nonzero y in Rx has
+    |Ann(y)| = |Ann(x)|; every minimal ideal is such an Rx.
+    """
+    mul = np.asarray(ring.mul)
+    ann = (mul == ring.zero).sum(axis=1)
+    rank = ann.copy()
+    rank[ring.zero] = 0  # so y = 0 never gives the largest |Ann(y)|
+    found = set()
+    for x in range(ring.order):
+        if x != ring.zero and rank[mul[x]].max() == ann[x]:  # row x of mul is Rx
+            found.add(tuple(np.unique(mul[x]).tolist()))
+    return sorted(found, key=lambda m: (len(m), m))
+
+
+def neat_verdicts_by_quotients(ring) -> tuple:
+    """The (nil-neat, weakly nil-neat) verdicts, each R/M built as a
+    table ring by ``quotient_ring`` and then scanned by the clean
+    deciders, over the nonwhole minimal ideals M in canonical order.
+
+    The stop rule and the witnesses are those of the neat deciders: the
+    earliest failing M, and the scan ends at the first R/M that is not
+    weakly nil-clean.
+    """
+    nil_neat = fine = ringlab.Verdict(True)
+    for ideal in ringlab.minimal_ideals(ring):
+        if ideal.is_whole:
+            continue
+        quot = ringlab.quotient_ring(ring, ideal)
+        if nil_neat.ok and not ringlab.is_nil_clean_definitional(quot).ok:
+            nil_neat = ringlab.Verdict(False, ideal)
+        if not ringlab.is_weakly_nil_clean_definitional(quot).ok:
+            return nil_neat, ringlab.Verdict(False, ideal)
+    return nil_neat, fine
 
 
 def coset_projection(ring, ideal, quot) -> list[int]:
