@@ -21,19 +21,26 @@ ENV_VAR = "RINGLAB_CACHE"
 
 
 def is_sweep_verdict(value) -> bool:
-    """Whether ``value`` has the shape the sweep stores per pair:
-    ``{"wnn": {"ok": bool, "witness": list | None},
-    "wnc": {"ok": bool, "witness": int | None}}``."""
+    """Whether ``value`` is a verdict pair the sweep can store:
+    ``{"wnn": {"ok": bool, "witness": list of int | None},
+    "wnc": {"ok": bool, "witness": int | None}}``, where the witness is
+    None exactly when ``ok`` holds, as every decider returns it."""
 
-    def part(name, witness_type) -> bool:
+    def part(name, is_witness) -> bool:
         entry = value.get(name)
-        return (
-            isinstance(entry, dict)
-            and isinstance(entry.get("ok"), bool)
-            and (entry.get("witness") is None or type(entry["witness"]) is witness_type)
-        )
+        if not (isinstance(entry, dict) and isinstance(entry.get("ok"), bool)):
+            return False
+        witness = entry.get("witness")
+        return witness is None if entry["ok"] else is_witness(witness)
 
-    return isinstance(value, dict) and part("wnn", list) and part("wnc", int)
+    def is_int(w) -> bool:
+        return type(w) is int  # not a bool
+
+    return (
+        isinstance(value, dict)
+        and part("wnn", lambda w: type(w) is list and all(map(is_int, w)))
+        and part("wnc", is_int)
+    )
 
 
 class VerdictCache:

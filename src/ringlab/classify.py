@@ -11,10 +11,10 @@ Four properties of a finite commutative ring R:
 
 Each property gets a definitional brute-force decider and a structural
 criterion in terms of radicals and residue fields; the criteria read the
-shapes of R/N and R/J off two counts and build neither quotient.  The
-deciders run in pairs: one element scan for both clean properties, one
-pass over the minimal nonzero ideals M for both neat ones, and each
-answers with a :class:`Verdict`.  The neat pass reads each R/M on R's
+shapes of R/N and R/J off two counts, once per ring, and build neither
+quotient.  The deciders run in pairs: one element scan for both clean
+properties, one pass over the minimal nonzero ideals M for both neat
+ones, and each answers with a :class:`Verdict`.  The neat pass reads each R/M on R's
 own cosets of M and builds no quotient ring.  :func:`classify_ring`
 always runs both derivations and raises :class:`DisagreementError` on
 a mismatch.
@@ -32,22 +32,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .group_algebra import AbelianGroup
-from .ideals import (
-    IdealSet,
-    is_field,
-    jacobson_radical,
-    maximal_ideals,
-    minimal_ideals,
-    nilradical,
-)
-from .rings import (
-    DisagreementError,
-    RingTable,
-    _gather,
-    _memo,
-    _row_blocks,
-    element_classes,
-)
+from .ideals import IdealSet, _coset_map, is_field, jacobson_radical, maximal_ideals, minimal_ideals, nilradical
+from .rings import DisagreementError, RingTable, _gather, _memo, element_classes
 
 
 class Verdict(NamedTuple):
@@ -92,14 +78,12 @@ def _clean_mod(ring: RingTable, ideal: IdealSet, high: np.ndarray, sq_minus: np.
     ``high`` holds x^(2^K) for K the bit length of |R|, so x is nilpotent
     mod M iff it lies in M; ``sq_minus`` holds x^2 - x, so x is
     idempotent mod M iff that lies in M.  Each coset is named by its
-    least member, found one row block at a time, and the scan asks
+    least member (:func:`ringlab.ideals._coset_map`), and the scan asks
     whether every coset is hit by n + e (then n - e) over those names.
     """
     member = np.zeros(ring.order, dtype=bool)
     member[ideal.members] = True
-    rep = np.empty(ring.order, dtype=ring.add.dtype)  # least member of x + M
-    for rows in _row_blocks(ring.order, len(ideal)):
-        rep[rows] = ring.add[rows][:, ideal.members].min(axis=1)
+    rep = _coset_map(ring, ideal)
     is_rep = rep == np.arange(ring.order)
     nil = np.flatnonzero(is_rep & member[high])
     idem = np.flatnonzero(is_rep & member[sq_minus])
@@ -122,17 +106,17 @@ def _neat_verdicts(ring: RingTable) -> tuple[Verdict, Verdict]:
     stops at the first R/M that is not weakly nil-clean, which is not
     nil-clean either.
     """
+    # its own maps: element_classes' nilpotency tower and _shape_mod's x^2 - x
+    # count feed the structural criteria, and the two derivations share no code
+    square = ring.mul.diagonal()
+    high = np.arange(ring.order)
+    for _ in range(ring.order.bit_length()):
+        high = square[high]
+    sq_minus = ring.add[square, ring.neg]
     nil_neat = fine = Verdict(True)
-    high = sq_minus = None
     for ideal in minimal_ideals(ring):
         if ideal.is_whole:
             continue  # a field: the zero ring, vacuously fine
-        if high is None:  # x -> x^2 is the diagonal of mul
-            square = ring.mul.diagonal()
-            high = np.arange(ring.order)
-            for _ in range(ring.order.bit_length()):
-                high = square[high]
-            sq_minus = ring.add[square, ring.neg]
         clean, weak = _clean_mod(ring, ideal, high, sq_minus)
         if nil_neat.ok and not clean:
             nil_neat = Verdict(False, ideal)
@@ -161,6 +145,7 @@ def _shape_mod(ring: RingTable, ideal: IdealSet) -> tuple[bool, bool]:
     It is Z3 or boolean x Z3 iff 2q == 3e: the k local orders, each a
     prime power, then multiply to 3 * 2^(k-1), so one is 3 and the rest 2.
     """
+    # the criteria's own x^2 - x, apart from the neat pass's map (_neat_verdicts)
     member = np.zeros(ring.order, dtype=bool)
     member[ideal.members] = True
     q = ring.order // len(ideal)
@@ -169,26 +154,21 @@ def _shape_mod(ring: RingTable, ideal: IdealSet) -> tuple[bool, bool]:
 
 
 @_memo
-def _shape_mod_nilradical(ring: RingTable) -> tuple[bool, bool]:
-    """:func:`_shape_mod` of R/N(R)."""
-    return _shape_mod(ring, nilradical(ring))
+def _radical_shapes(ring: RingTable) -> tuple[tuple[bool, bool], tuple[bool, bool]]:
+    """:func:`_shape_mod` of R/N(R) and of R/J(R)."""
+    return _shape_mod(ring, nilradical(ring)), _shape_mod(ring, jacobson_radical(ring))
 
 
 @_memo
-def _shape_mod_jacobson(ring: RingTable) -> tuple[bool, bool]:
-    """:func:`_shape_mod` of R/J(R)."""
-    return _shape_mod(ring, jacobson_radical(ring))
-
-
-def _residue_orders(ring: RingTable) -> list[int]:
+def _residue_orders(ring: RingTable) -> tuple[int, ...]:
     """Orders of the residue fields R/M, ascending."""
-    return sorted(ring.order // len(m) for m in maximal_ideals(ring))
+    return tuple(sorted(ring.order // len(m) for m in maximal_ideals(ring)))
 
 
 def is_nil_clean_criterion(ring: RingTable) -> bool:
     """Structural test: R is nil-clean iff R/N(R) is boolean, read off
     two counts by :func:`_shape_mod` without building R/N."""
-    return _shape_mod_nilradical(ring)[0]
+    return _radical_shapes(ring)[0][0]
 
 
 def is_nil_neat_criterion(ring: RingTable) -> bool:
@@ -202,7 +182,7 @@ def is_nil_neat_criterion(ring: RingTable) -> bool:
     without building R/J.  Cross-checked against the definitional
     decider in tests.
     """
-    return is_field(ring) or _shape_mod_jacobson(ring)[0]
+    return is_field(ring) or _radical_shapes(ring)[1][0]
 
 
 @_memo
@@ -214,7 +194,8 @@ def weakly_nil_clean_criterion(ring: RingTable) -> bool:
     from the primitive idempotents, N from the nilpotent scan, J from
     the maximal ideals) and a mismatch raises :class:`DisagreementError`.
     The shapes of R/N and R/J are read off two counts by
-    :func:`_shape_mod`; neither quotient is built.  The verdict is memoized, so both
+    :func:`_shape_mod`, both in the one memo :func:`_radical_shapes`;
+    neither quotient is built.  The verdict is memoized, so both
     group-ring predicates read it once per ring; a mismatch is not, and
     raises on every call.
     """
@@ -222,10 +203,11 @@ def weakly_nil_clean_criterion(ring: RingTable) -> bool:
     residue_orders = _residue_orders(ring)
     by_residues = all(s in (2, 3) for s in residue_orders) and residue_orders.count(3) <= 1
     # R/N boolean, Z3 or boolean x Z3
-    by_nilradical = _shape_mod_nilradical(ring)[1]
+    mod_n, mod_j = _radical_shapes(ring)
+    by_nilradical = mod_n[1]
     # J nil and the same shape for R/J
     jac_is_nil = bool(element_classes(ring).nilpotents[jacobson_radical(ring).members].all())
-    by_jacobson = jac_is_nil and _shape_mod_jacobson(ring)[1]
+    by_jacobson = jac_is_nil and mod_j[1]
 
     if not (by_residues == by_nilradical == by_jacobson):
         raise DisagreementError(
@@ -253,11 +235,11 @@ def weakly_nil_neat_criterion(ring: RingTable) -> bool:
     if is_field(ring):
         return True
     if not jacobson_radical(ring).is_zero:
-        return _shape_mod_jacobson(ring)[1]
+        return _radical_shapes(ring)[1][1]
     residue_orders = _residue_orders(ring)
     if not all(s in (2, 3) for s in residue_orders):
         return False
-    return residue_orders.count(3) <= 1 or residue_orders == [3, 3]
+    return residue_orders.count(3) <= 1 or residue_orders == (3, 3)
 
 
 class PredicateResult(NamedTuple):

@@ -26,7 +26,17 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .ideals import IdealSet, ideal_generated, jacobson_radical
-from .rings import DEFAULT_ORDER_CAP, CapExceeded, RingTable, _product_table, _row_blocks, _table_dtype
+from .rings import (
+    DEFAULT_ORDER_CAP,
+    CapExceeded,
+    RingTable,
+    _memo,
+    _product_table,
+    _readonly,
+    _row_blocks,
+    _table_dtype,
+    element_classes,
+)
 
 
 def _factorint(n: int) -> dict[int, int]:
@@ -158,32 +168,30 @@ def _digits(count: int, base: int, width: int) -> np.ndarray:
     return ((np.arange(count, dtype=np.int64) // radix[:, None]) % base).astype(_table_dtype(base))
 
 
+@_memo
 def _associates(base: RingTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split each c in R as a*b with a a unit and b the least member of
     c's associate class {a*c : a a unit}.
 
     Returns ``least`` (b for each c) and, for each c, the units
-    ``scale[c]`` = a and ``unscale[c]`` = a^-1.  Two passes over ``mul``
-    in row blocks: the first finds each unit's inverse where its row
-    hits 1, the second the least entry of each row over the unit
-    columns and the unit it sits at.
+    ``scale[c]`` = a and ``unscale[c]`` = a^-1, all read-only.  The units
+    come from :func:`ringlab.rings.element_classes`; a pass over their
+    rows of ``mul`` finds each one's inverse where its row hits 1, and
+    a pass over the unit columns the least entry of each row and the
+    unit it sits at, both in row blocks.
     """
     n = base.order
-    units = np.empty(n, dtype=bool)
-    inverse = np.empty(n, dtype=np.intp)
-    for rows in _row_blocks(n, n):
-        hits = base.mul[rows] == base.one
-        units[rows] = hits.any(axis=1)
-        inverse[rows] = hits.argmax(axis=1)
-    unit_idx = np.flatnonzero(units)
+    unit_idx = np.flatnonzero(element_classes(base).units)
+    inverse = np.empty(unit_idx.size, dtype=np.intp)  # inverse[k] * unit_idx[k] = 1
+    for rows in _row_blocks(unit_idx.size, n):
+        inverse[rows] = (base.mul.take(unit_idx[rows], axis=0) == base.one).argmax(axis=1)
     least = np.empty(n, dtype=np.intp)
-    unscale = np.empty(n, dtype=np.intp)
+    k = np.empty(n, dtype=np.intp)  # position in unit_idx of the unit taking c to least[c]
     for rows in _row_blocks(n, unit_idx.size):
         orbit = base.mul[rows].take(unit_idx, axis=1)
-        k = orbit.argmin(axis=1)
-        least[rows] = np.take_along_axis(orbit, k[:, None], axis=1)[:, 0]
-        unscale[rows] = unit_idx[k]
-    return least, inverse[unscale], unscale
+        k[rows] = orbit.argmin(axis=1)
+        least[rows] = np.take_along_axis(orbit, k[rows, None], axis=1)[:, 0]
+    return _readonly(least), _readonly(inverse[k]), _readonly(unit_idx[k])
 
 
 def group_ring(base: RingTable, group: AbelianGroup, *, cap: int = DEFAULT_ORDER_CAP) -> GroupRingView:

@@ -204,24 +204,31 @@ def _lattice(ring: RingTable) -> tuple[IdealSet, ...]:
     return _in_canonical_order(ring, known.values())
 
 
+def _coset_map(ring: RingTable, ideal: IdealSet) -> np.ndarray:
+    """The least member of each coset x + I, in the table dtype, found
+    one row block of ``add`` at a time."""
+    rep = np.empty(ring.order, dtype=ring.add.dtype)
+    for rows in _row_blocks(ring.order, len(ideal)):
+        rep[rows] = ring.add[rows][:, ideal.members].min(axis=1)
+    return rep
+
+
 def quotient_ring(ring: RingTable, ideal: IdealSet) -> RingTable:
     """R/I for a proper ideal I, labelled ``R/(g1,...)`` by minimal generators.
 
     Each coset is represented by its least member, and the cosets are
-    indexed in the order of those members.  The members are found, and
-    both q x q tables read by :func:`ringlab.rings._gather`, one row
-    block at a time, each table block mapped through the projection
-    (cast to the quotient's table dtype) before the next is read, so no
-    temporary outgrows one block.
+    indexed in the order of those members.  The members are found by
+    :func:`_coset_map`, and both q x q tables read by
+    :func:`ringlab.rings._gather`, one row block at a time, each table
+    block mapped through the projection (cast to the quotient's table
+    dtype) before the next is read, so no temporary outgrows one block.
     """
     if ideal.is_whole:
         raise ValueError(
             f"quotient of {ring.label} (order {ring.order}) by the whole ring is the zero ring "
             "and is not constructible"
         )
-    rep = np.empty(ring.order, dtype=ring.add.dtype)  # least member of each coset
-    for rows in _row_blocks(ring.order, len(ideal)):
-        rep[rows] = ring.add[rows][:, ideal.members].min(axis=1)
+    rep = _coset_map(ring, ideal)
     class_reps = np.unique(rep)
     proj = np.searchsorted(class_reps, rep).astype(_table_dtype(class_reps.size))
     gens = minimal_generators(ring, ideal)

@@ -13,11 +13,11 @@ read of a sub-table (the rows and columns at two index lists) goes
 through the private :func:`_gather`, one row block at a time.
 
 Facts derived from the tables (element classes, the ideal lattice,
-minimal and maximal ideals, the radicals, the shapes of R/N and R/J,
-the clean and neat verdicts, the weakly nil-clean criterion) are
-memoized on the instance by the private :func:`_memo` decorator, so
-each is computed at most once per ring however many deciders ask for
-it.  A memo value is a bool, a read-only array, an ideal, a tuple of
+minimal and maximal ideals, the radicals, residue orders, the shapes of
+R/N and R/J, clean and neat verdicts, the weakly nil-clean criterion,
+associate classes) are memoized on the instance by the private
+:func:`_memo` decorator, so each is computed at most once per ring.  A
+memo value is a bool, an int, a read-only array, an ideal, a tuple of
 these or a small frozen record of them, and never holds a reference
 back to the ring (an ideal keeps only its ring's order and label), so
 the tables are freed as soon as the ring itself is.  Two threads may
@@ -78,11 +78,12 @@ class RingTable:
 
     The constructor always runs the cheap structural checks (square
     tables of equal shape, order >= 2, zero and one in range and
-    distinct, every entry in range) and raises ``ValueError`` on the
-    first that fails.  The ring axioms are not checked, so a table that
-    passes can still be corrupted; :func:`element_classes` and the
-    maximal ideals raise :class:`DisagreementError` on the corruptions
-    their own sanity facts catch.
+    distinct, integer entries, each in range before it is narrowed to
+    the table dtype) and raises ``ValueError`` on the first that fails.
+    The ring axioms are not checked, so a table that passes can still be
+    corrupted; :func:`element_classes` and the maximal ideals raise
+    :class:`DisagreementError` on the corruptions their own sanity facts
+    catch.
     """
 
     __slots__ = ("order", "add", "mul", "zero", "one", "label", "neg", "_facts")
@@ -94,8 +95,6 @@ class RingTable:
             raise ValueError("operation tables must be square and of equal shape")
         n = int(add.shape[0])
         dt = _table_dtype(n)
-        add = add.astype(dt, copy=False)
-        mul = mul.astype(dt, copy=False)
         zero = int(zero)
         one = int(one)
         if n < 2:
@@ -105,8 +104,13 @@ class RingTable:
         if zero == one:
             raise ValueError("one must differ from zero")
         for name, t in (("add", add), ("mul", mul)):
+            if not np.issubdtype(t.dtype, np.integer):
+                raise ValueError(f"{name} table entries must be integers, not {t.dtype}")
+            # checked before narrowing to the table dtype, which could wrap them into range
             if t.min() < 0 or t.max() >= n:
                 raise ValueError(f"{name} table entry out of range")
+        add = add.astype(dt, copy=False)
+        mul = mul.astype(dt, copy=False)
         self.order = n
         self.zero = zero
         self.one = one
@@ -265,6 +269,7 @@ def _nilpotent_mask(r: RingTable) -> np.ndarray:
     """
     cur = np.arange(r.order)
     nil = cur == r.zero
+    # the criteria read this tower; the neat pass forms its own x^(2^K), so they share no code
     for _ in range(r.order.bit_length()):
         cur = r.mul[cur, cur]
         nil |= cur == r.zero

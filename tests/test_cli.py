@@ -8,7 +8,7 @@ import util
 import ringlab.classify
 import ringlab.cli
 import ringlab.sweep
-from ringlab import __version__
+from ringlab import __version__, ideal_generated
 from ringlab.cli import EXIT_CAP, EXIT_DISAGREEMENT, EXIT_OK, EXIT_USAGE, main
 from ringlab.sweep import SweepConfig, group_catalog, ring_catalog, run_sweep
 
@@ -260,6 +260,58 @@ def test_radical_group_ring_agreement(capsys):
     assert payload["karpilovsky"]["matches_jacobson"] is True
 
 
+def test_radical_text_output(capsys):
+    code, out, err = run_cli(capsys, "radical", "GR(Z3, C3)")
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (
+        "ring: GR(Z3, C3)  (order 27)\n"
+        "  N(R): size 9  members [0, 5, 7, 11, 13, 15, 19, 21, 26]\n"
+        "  J(R): size 9  members [0, 5, 7, 11, 13, 15, 19, 21, 26]\n"
+        "  base-ring radical formula: size 9  agreement True\n"
+    )
+    code, out, err = run_cli(capsys, "radical", "Z4")
+    assert (code, err) == (EXIT_OK, "")
+    assert out == "ring: Z4  (order 4)\n  N(R): size 2  members [0, 2]\n  J(R): size 2  members [0, 2]\n"
+
+
+def test_radical_formula_disagreement_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(ringlab.cli, "karpilovsky_radical", lambda view: ideal_generated(view.ring, []))
+    code, out, err = run_cli(capsys, "radical", "GR(Z3, C3)")
+    assert (code, err) == (EXIT_DISAGREEMENT, "")
+    assert out.splitlines()[-1] == "  base-ring radical formula: size 1  agreement False"
+    code, out, err = run_cli(capsys, "radical", "GR(Z3, C3)", "--json")
+    assert (code, err) == (EXIT_DISAGREEMENT, "")
+    assert json.loads(out)["karpilovsky"] == {"size": 1, "members": [0], "matches_jacobson": False}
+
+
+def test_ideals_text_output(capsys):
+    code, out, err = run_cli(capsys, "ideals", "Z6")
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (
+        "ring: Z6  (order 6, 4 ideals)\n"
+        "  size    1: [0]\n"
+        "  size    2: [0, 3]\n"
+        "  size    3: [0, 2, 4]\n"
+        "  size    6: [0, 1, 2, 3, 4, 5]\n"
+    )
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--order-cap", "abc", "classify", "Z2"), "argument --order-cap: invalid int value: 'abc'"),
+    (("classify", "GR(Z2 C2)"), "syntax error at position 6: expected ',', found 'C'"),
+    (("classify", "Z2 x"),
+     "syntax error at position 4: expected a ring ('Z<n>', 'GR(...)' or '(...)'), found 'end of input'"),
+    (("classify", "GR(Z2, C0)"), "syntax error at position 8: cyclic order must be >= 1"),
+    (("verify-theorem", "--max-ring-order", "1"), "max_ring_order must be >= 2 (no rings in catalog)"),
+    (("verify-theorem", "--max-groupring-order", "1"), "max_groupring_order must be >= 2"),
+    (("verify-theorem", "--jobs", "0"), "jobs must be >= 1"),
+], ids=["order-cap-not-an-int", "missing-comma", "missing-ring", "cyclic-order-0", "max-ring-order-1",
+        "max-groupring-order-1", "jobs-0"])
+def test_malformed_input_is_a_usage_error(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (EXIT_USAGE, "", f"usage error: {message}\n")
+
+
 def test_ideals_command(capsys):
     code, out, _ = run_cli(capsys, "ideals", "Z6", "--json")
     assert code == EXIT_OK
@@ -370,6 +422,26 @@ def test_verify_theorem_skips_wrongly_shaped_cache_line(tmp_path, capsys):
 
 TINY_SWEEP = ("verify-theorem", "--max-ring-order", "2", "--max-product-order", "2",
               "--max-group-order", "1")
+
+
+@pytest.mark.parametrize("value", [
+    {"wnn": {"ok": True, "witness": ["x"]}, "wnc": {"ok": False, "witness": None}},
+    {"wnn": {"ok": False, "witness": [True]}, "wnc": {"ok": True, "witness": None}},
+    {"wnn": {"ok": False, "witness": None}, "wnc": {"ok": True, "witness": None}},
+    {"wnn": {"ok": True, "witness": None}, "wnc": {"ok": True, "witness": 0}},
+], ids=["witness-of-a-positive-verdict", "bool-member", "negative-wnn-without-witness",
+        "positive-wnc-with-witness"])
+def test_verify_theorem_skips_a_verdict_no_decider_returns(tmp_path, capsys, value):
+    # each is a well-formed dict, but no decider pairs ok with a witness this way
+    cache_path = tmp_path / "cache.jsonl"
+    line = {"key": "GR(Z2, 1)", "version": __version__, "value": value}
+    cache_path.write_text(json.dumps(line) + "\n")
+    with pytest.warns(UserWarning, match="corrupt cache line 1"):
+        code, out, err = run_cli(capsys, *TINY_SWEEP, "--max-groupring-order", "2", "--cache", str(cache_path))
+    assert (code, err) == (EXIT_OK, "")
+    (record, footer) = [json.loads(line) for line in out.splitlines()]
+    assert (record["wnn_definitional"], record["wnn_witness"], record["wnc_definitional"]) == (True, None, True)
+    assert footer["summary"]["disagreements"] == 0
 
 
 @pytest.mark.parametrize("flag", ["--cache", "--out"])

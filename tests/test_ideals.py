@@ -48,6 +48,13 @@ def test_ideal_set_rejects_non_ideal():
         IdealSet(z6, [2, 4])  # zero missing
 
 
+@pytest.mark.parametrize("members", [[0, 6], [-1, 0], np.array([0, 3, 6])],
+                         ids=["list-past-end", "negative", "array-past-end"])
+def test_ideal_set_rejects_member_out_of_range(members):
+    with pytest.raises(ValueError, match="^ideal member index out of range$"):
+        IdealSet(make_zmod(6), members)
+
+
 def test_ideal_set_rejects_set_not_closed_under_ambient_multiplication():
     ring = evaluate(parse_ring_expr("GR(Z2, C2)"))
     with pytest.raises(ValueError, match="not closed under ambient multiplication"):

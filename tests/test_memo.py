@@ -27,7 +27,7 @@ from ringlab import (
     weakly_nil_clean_group_ring_predicate,
     weakly_nil_neat_group_ring_predicate,
 )
-from ringlab import classify, ideals, rings
+from ringlab import classify, group_algebra, ideals, rings
 from ringlab.sweep import SweepConfig, ring_catalog, run_sweep
 
 
@@ -61,6 +61,48 @@ def test_sweep_derives_maximal_ideals_once_per_base_ring(monkeypatch):
     report = run_sweep(config)
     assert report.all_agree and len(report.records) > len(ring_catalog(config))
     assert sorted(calls) == sorted(evaluate(e).label for e in ring_catalog(config))
+
+
+def _count_misses(monkeypatch, module, name) -> list[str]:
+    """Make the memoized ``module.name`` record the ring label of every
+    call that misses its memo."""
+    misses = []
+    memoized = getattr(module, name)
+
+    def recorded(ring, *rest):
+        if memoized.__wrapped__ not in ring._facts:
+            misses.append(ring.label)
+        return memoized(ring, *rest)
+
+    monkeypatch.setattr(module, name, recorded)
+    return misses
+
+
+def test_sweep_splits_associate_classes_once_per_base_ring(monkeypatch):
+    config = SweepConfig(max_ring_order=4, max_product_order=4, max_group_order=2, max_groupring_order=64)
+    misses = _count_misses(monkeypatch, group_algebra, "_associates")
+    report = run_sweep(config)
+    assert report.all_agree and len(report.records) > len(ring_catalog(config))
+    assert sorted(misses) == sorted(evaluate(e).label for e in ring_catalog(config))
+
+
+def test_residue_orders_are_derived_once_on_a_semiprimitive_ring(monkeypatch):
+    # J(Z6) = 0, so the weakly nil-neat criterion reads the residue orders
+    # as well as the weakly nil-clean one
+    base = make_zmod(6)
+    misses = _count_misses(monkeypatch, classify, "_residue_orders")
+    assert weakly_nil_neat_group_ring_predicate(base, make_group([])).condition == 1
+    assert weakly_nil_clean_group_ring_predicate(base, make_group([])).condition == 3
+    assert misses == ["Z6"]
+    assert classify._residue_orders(base) == (2, 3)
+
+
+def test_associate_classes_are_memoized_read_only():
+    base = make_zmod(9)
+    group_ring(base, make_group([3]))
+    arrays = group_algebra._associates(base)
+    assert len(arrays) == 3 and not any(a.flags.writeable for a in arrays)
+    assert group_algebra._associates.__wrapped__ in base._facts
 
 
 def _record_calls(monkeypatch, module, name) -> list:

@@ -327,6 +327,12 @@ def _z4_args_with_entry(name, value):
     return args
 
 
+def _z2_args(one):
+    """Keyword arguments for Z2 whose table entries for 1 read ``one``, in int64."""
+    return {"add": np.array([[0, one], [one, 0]]), "mul": np.array([[0, 0], [0, one]]),
+            "zero": 0, "one": 1, "label": "Z2"}
+
+
 @pytest.mark.parametrize("args, message", [
     (_z4_args(add=np.zeros((2, 3), dtype=int), mul=np.zeros((2, 3), dtype=int)), "square and of equal shape"),
     (_z4_args(mul=np.zeros((3, 3), dtype=int)), "square and of equal shape"),
@@ -335,8 +341,14 @@ def _z4_args_with_entry(name, value):
     (_z4_args(zero=1), "one must differ from zero"),
     (_z4_args_with_entry("add", 4), "add table entry out of range"),
     (_z4_args_with_entry("mul", -1), "mul table entry out of range"),
+    # both would wrap to 1 in the int16 table dtype and build Z2
+    (_z2_args(65537), "add table entry out of range"),
+    (_z2_args(-65535), "add table entry out of range"),
+    (_z4_args(add=np.array([[0, 1.7], [1.2, 0]]), mul=np.array([[0, 0], [0, 1]])),
+     "add table entries must be integers, not float64"),
 ], ids=["non-square", "unequal-shapes", "zero-out-of-range", "one-out-of-range", "zero-is-one",
-        "add-entry-out-of-range", "mul-entry-out-of-range"])
+        "add-entry-out-of-range", "mul-entry-out-of-range", "entry-wrapping-to-1", "negative-entry-wrapping-to-1",
+        "float-entries"])
 def test_constructor_rejects_malformed_tables(args, message):
     with pytest.raises(ValueError, match=message):
         RingTable(**args)
