@@ -12,10 +12,11 @@ Four properties of a finite commutative ring R:
 Each property gets a definitional brute-force decider and a structural
 criterion in terms of radicals and residue fields; the criteria read the
 shapes of R/N and R/J off two counts, once per ring, and build neither
-quotient.  The deciders run in pairs: one element scan for both clean
-properties, one pass over the minimal nonzero ideals M for both neat
-ones, and each answers with a :class:`Verdict`.  The neat pass reads each R/M on R's
-own cosets of M and builds no quotient ring.  :func:`classify_ring`
+quotient.  All four deciders read one scan, and each answers with a
+:class:`Verdict`.  Every property is a statement about images of R: the
+clean ones about R itself, the image R/0, and the neat ones about R/M
+for the minimal nonzero ideals M.  One function reads each such image
+on R's own cosets and builds no quotient ring.  :func:`classify_ring`
 always runs both derivations and raises :class:`DisagreementError` on
 a mismatch.
 
@@ -45,41 +46,16 @@ class Verdict(NamedTuple):
     witness: int | IdealSet | None = None
 
 
-@_memo
-def _clean_verdicts(ring: RingTable) -> tuple[Verdict, Verdict]:
-    """The (nil-clean, weakly nil-clean) verdicts: the least element
-    outside N + E, and outside (N + E) union (N - E)."""
-    classes = element_classes(ring)
-    nil = np.flatnonzero(classes.nilpotents)
-    idem = np.flatnonzero(classes.idempotents)
-    covered = np.zeros(ring.order, dtype=bool)
-    verdicts = []
-    for summands in (idem, ring.neg[idem]):
-        covered[_gather(ring.add, nil, summands)] = True
-        ok = bool(covered.all())
-        verdicts.append(Verdict(ok, None if ok else int(covered.argmin())))
-    return tuple(verdicts)
-
-
-def is_nil_clean_definitional(ring: RingTable) -> Verdict:
-    """Scan for an element outside nilpotents + idempotents."""
-    return _clean_verdicts(ring)[0]
-
-
-def is_weakly_nil_clean_definitional(ring: RingTable) -> Verdict:
-    """Scan for an element outside (N + E) union (N - E)."""
-    return _clean_verdicts(ring)[1]
-
-
-def _clean_mod(ring: RingTable, ideal: IdealSet, high: np.ndarray, sq_minus: np.ndarray) -> tuple[bool, bool]:
-    """(R/M nil-clean, R/M weakly nil-clean) for a proper ideal M, read
-    on the cosets x + M in R's own tables.
+def _clean_mod(ring: RingTable, ideal: IdealSet, high: np.ndarray, sq_minus: np.ndarray) -> tuple[int | None, int | None]:
+    """For the image R/I, the least coset name outside N + E, then outside
+    (N + E) union (N - E), each None if there is none; read on the
+    cosets x + I in R's own tables.
 
     ``high`` holds x^(2^K) for K the bit length of |R|, so x is nilpotent
-    mod M iff it lies in M; ``sq_minus`` holds x^2 - x, so x is
-    idempotent mod M iff that lies in M.  Each coset is named by its
-    least member (:func:`ringlab.ideals._coset_map`), and the scan asks
-    whether every coset is hit by n + e (then n - e) over those names.
+    mod I iff it lies in I; ``sq_minus`` holds x^2 - x, so x is
+    idempotent mod I iff that lies in I.  Each coset is named by its
+    least member (:func:`ringlab.ideals._coset_map`), so on R/0 the name
+    of x is x itself.
     """
     member = np.zeros(ring.order, dtype=bool)
     member[ideal.members] = True
@@ -87,24 +63,25 @@ def _clean_mod(ring: RingTable, ideal: IdealSet, high: np.ndarray, sq_minus: np.
     is_rep = rep == np.arange(ring.order)
     nil = np.flatnonzero(is_rep & member[high])
     idem = np.flatnonzero(is_rep & member[sq_minus])
-    hit = np.zeros(ring.order, dtype=bool)
-    verdicts = []
+    missed = is_rep.copy()
+    witnesses = []
     for summands in (idem, ring.neg[idem]):
-        hit[_gather(ring.add, nil, summands, through=rep)] = True
-        verdicts.append(bool(hit[is_rep].all()))
-    return tuple(verdicts)
+        missed[_gather(ring.add, nil, summands, through=rep)] = False
+        witnesses.append(int(missed.argmax()) if missed.any() else None)
+    return tuple(witnesses)
 
 
 @_memo
-def _neat_verdicts(ring: RingTable) -> tuple[Verdict, Verdict]:
-    """The (nil-neat, weakly nil-neat) verdicts from R/M for the minimal M.
+def _definitional_verdicts(ring: RingTable) -> tuple[Verdict, Verdict, Verdict, Verdict]:
+    """The four verdicts in :data:`PROPERTIES` order, every image of R
+    scanned by :func:`_clean_mod` on R's own cosets.
 
-    Every R/I (I nonzero) is an image of such an R/M, and the earliest
-    failing ideal in lattice order is minimal, so verdicts and witnesses
-    match a full-lattice scan.  Each R/M is scanned on R's cosets of M
-    by :func:`_clean_mod`, and no quotient ring is built.  The pass
-    stops at the first R/M that is not weakly nil-clean, which is not
-    nil-clean either.
+    The clean verdicts are R's own, R being its image R/0.  The neat ones
+    come from R/M for the minimal M: every R/I (I nonzero) is an image of
+    such an R/M, and the earliest failing ideal in lattice order is
+    minimal, so verdicts and witnesses match a full-lattice scan.  The
+    pass stops at the first R/M that is not weakly nil-clean, which is
+    not nil-clean either.  No quotient ring is built.
     """
     # its own maps: element_classes' nilpotency tower and _shape_mod's x^2 - x
     # count feed the structural criteria, and the two derivations share no code
@@ -113,26 +90,38 @@ def _neat_verdicts(ring: RingTable) -> tuple[Verdict, Verdict]:
     for _ in range(ring.order.bit_length()):
         high = square[high]
     sq_minus = ring.add[square, ring.neg]
+    zero = IdealSet(ring, [ring.zero], validate=False)
+    clean = tuple(Verdict(w is None, w) for w in _clean_mod(ring, zero, high, sq_minus))
     nil_neat = fine = Verdict(True)
     for ideal in minimal_ideals(ring):
         if ideal.is_whole:
             continue  # a field: the zero ring, vacuously fine
-        clean, weak = _clean_mod(ring, ideal, high, sq_minus)
-        if nil_neat.ok and not clean:
+        missed_clean, missed_weak = _clean_mod(ring, ideal, high, sq_minus)
+        if nil_neat.ok and missed_clean is not None:
             nil_neat = Verdict(False, ideal)
-        if not weak:
-            return nil_neat, Verdict(False, ideal)
-    return nil_neat, fine
+        if missed_weak is not None:
+            return (*clean, nil_neat, Verdict(False, ideal))
+    return (*clean, nil_neat, fine)
+
+
+def is_nil_clean_definitional(ring: RingTable) -> Verdict:
+    """Scan for an element outside nilpotents + idempotents."""
+    return _definitional_verdicts(ring)[0]
+
+
+def is_weakly_nil_clean_definitional(ring: RingTable) -> Verdict:
+    """Scan for an element outside (N + E) union (N - E)."""
+    return _definitional_verdicts(ring)[1]
 
 
 def is_nil_neat_definitional(ring: RingTable) -> Verdict:
     """Every quotient by a nonzero proper ideal must be nil-clean."""
-    return _neat_verdicts(ring)[0]
+    return _definitional_verdicts(ring)[2]
 
 
 def is_weakly_nil_neat_definitional(ring: RingTable) -> Verdict:
     """Every quotient by a nonzero proper ideal must be weakly nil-clean."""
-    return _neat_verdicts(ring)[1]
+    return _definitional_verdicts(ring)[3]
 
 
 def _shape_mod(ring: RingTable, ideal: IdealSet) -> tuple[bool, bool]:
@@ -145,7 +134,7 @@ def _shape_mod(ring: RingTable, ideal: IdealSet) -> tuple[bool, bool]:
     It is Z3 or boolean x Z3 iff 2q == 3e: the k local orders, each a
     prime power, then multiply to 3 * 2^(k-1), so one is 3 and the rest 2.
     """
-    # the criteria's own x^2 - x, apart from the neat pass's map (_neat_verdicts)
+    # the criteria's own x^2 - x, apart from the scan's map (_definitional_verdicts)
     member = np.zeros(ring.order, dtype=bool)
     member[ideal.members] = True
     q = ring.order // len(ideal)
@@ -344,7 +333,7 @@ def classify_ring(ring: RingTable) -> dict[str, Verdict]:
     the other three, and so on).  The witnesses come from the
     definitional scans.
     """
-    verdicts = dict(zip(PROPERTIES, (*_clean_verdicts(ring), *_neat_verdicts(ring))))
+    verdicts = dict(zip(PROPERTIES, _definitional_verdicts(ring)))
     criteria = (
         is_nil_clean_criterion(ring),
         weakly_nil_clean_criterion(ring),

@@ -52,14 +52,16 @@ class IdealSet:
     __slots__ = ("order", "label", "members")
 
     def __init__(self, ring: RingTable, members, *, validate: bool = True):
-        if isinstance(members, np.ndarray):
-            arr = np.unique(members.astype(np.int64))
-        else:
-            arr = np.unique(np.fromiter(members, dtype=np.int64)) if members else np.empty(0, dtype=np.int64)
+        arr = np.asarray(members if isinstance(members, np.ndarray) else list(members))
         if arr.size == 0:
-            arr = np.array([ring.zero], dtype=np.int64)
+            arr = np.array([ring.zero])
+        # a Python int too wide for int64 makes an object array; it is range-checked below
+        if not (arr.dtype.kind in "iu" or arr.dtype.kind == "O" and all(type(v) is int for v in arr.flat)):
+            raise ValueError(f"ideal members must be integer indices, not {arr.dtype}")
+        # checked before narrowing to int64, which could overflow or wrap them into range
         if arr.min() < 0 or arr.max() >= ring.order:
             raise ValueError("ideal member index out of range")
+        arr = np.unique(arr.astype(np.int64))
         if validate:
             _check_ideal(ring, arr)
         self.order = ring.order

@@ -14,7 +14,7 @@ through the private :func:`_gather`, one row block at a time.
 
 Facts derived from the tables (element classes, the ideal lattice,
 minimal and maximal ideals, the radicals, residue orders, the shapes of
-R/N and R/J, clean and neat verdicts, the weakly nil-clean criterion,
+R/N and R/J, the four definitional verdicts, the weakly nil-clean criterion,
 associate classes) are memoized on the instance by the private
 :func:`_memo` decorator, so each is computed at most once per ring.  A
 memo value is a bool, an int, a read-only array, an ideal, a tuple of
@@ -202,9 +202,13 @@ def make_zmod(n: int, *, cap: int = DEFAULT_ORDER_CAP) -> RingTable:
         raise ValueError("modulus must be at least 2")
     if n > cap:
         raise CapExceeded(f"order {n} exceeds cap {cap}")
+    # one row block at a time, so the only wide temporaries are a block's
     idx = np.arange(n)
-    add = np.add.outer(idx, idx) % n
-    mul = np.multiply.outer(idx, idx) % n
+    add = np.empty((n, n), dtype=_table_dtype(n))
+    mul = np.empty_like(add)
+    for rows in _row_blocks(n, n):
+        add[rows] = np.add.outer(idx[rows], idx) % n
+        mul[rows] = np.multiply.outer(idx[rows], idx) % n
     return RingTable(add, mul, zero=0, one=1, label=f"Z{n}")
 
 
@@ -269,7 +273,7 @@ def _nilpotent_mask(r: RingTable) -> np.ndarray:
     """
     cur = np.arange(r.order)
     nil = cur == r.zero
-    # the criteria read this tower; the neat pass forms its own x^(2^K), so they share no code
+    # the criteria read this tower; the definitional scan forms its own x^(2^K), so they share no code
     for _ in range(r.order.bit_length()):
         cur = r.mul[cur, cur]
         nil |= cur == r.zero

@@ -76,6 +76,15 @@ def test_zn_definitional_against_integer_oracle():
         assert is_weakly_nil_clean_definitional(_z(n)).ok == util.zn_is_weakly_nil_clean(n)
 
 
+def test_clean_deciders_match_element_scan_oracle(plain_ring_catalog, sweep_group_rings):
+    rings = list(plain_ring_catalog) + [view.ring for view in sweep_group_rings]
+    rings += [evaluate(parse_ring_expr(label))
+              for label in ("GR(Z2, C3)/(7)", "GR(Z3, C3)/(13)", "GR(Z9, C3)/(33,97)")]
+    for ring in rings:
+        got = (is_nil_clean_definitional(ring), is_weakly_nil_clean_definitional(ring))
+        assert got == util.clean_verdicts_by_element_scan(ring), ring.label
+
+
 def test_nil_neat_definitional_examples():
     assert is_nil_neat_definitional(_z(3)).ok  # fields have no proper nonzero quotient
     verdict = is_nil_neat_definitional(_prod(3, 3))
@@ -349,7 +358,8 @@ def test_classify_ring_raises_when_criterion_and_scan_disagree(monkeypatch):
 
 def test_classify_ring_raises_on_a_hierarchy_violation(monkeypatch):
     # both derivations of both neat properties say no on Z2, so they agree
-    monkeypatch.setattr(ringlab.classify, "_neat_verdicts", lambda ring: (Verdict(False), Verdict(False)))
+    verdicts = (Verdict(True), Verdict(True), Verdict(False), Verdict(False))
+    monkeypatch.setattr(ringlab.classify, "_definitional_verdicts", lambda ring: verdicts)
     monkeypatch.setattr(ringlab.classify, "is_nil_neat_criterion", lambda ring: False)
     monkeypatch.setattr(ringlab.classify, "weakly_nil_neat_criterion", lambda ring: False)
     with pytest.raises(DisagreementError,

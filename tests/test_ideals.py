@@ -55,6 +55,26 @@ def test_ideal_set_rejects_member_out_of_range(members):
         IdealSet(make_zmod(6), members)
 
 
+@pytest.mark.parametrize("members", [[0.5], np.array([0.5]), np.array([0, 3.0])],
+                         ids=["list-half", "array-half", "array-float-three"])
+def test_ideal_set_rejects_non_integer_members(members):
+    with pytest.raises(ValueError, match="^ideal members must be integer indices, not float64$"):
+        IdealSet(make_zmod(6), members)
+
+
+@pytest.mark.parametrize("members", [[False, True], np.array([False, True])], ids=["list", "array"])
+def test_ideal_set_rejects_bool_members(members):
+    with pytest.raises(ValueError, match="^ideal members must be integer indices, not bool$"):
+        IdealSet(make_zmod(2), members)
+
+
+@pytest.mark.parametrize("members", [[2**70], [0, 2**70], [0, -2**70], np.array([2**64 - 1], dtype=np.uint64)],
+                         ids=["list-wide", "list-wide-last", "list-wide-negative", "uint64-array"])
+def test_ideal_set_range_checks_before_narrowing(members):
+    with pytest.raises(ValueError, match="^ideal member index out of range$"):
+        IdealSet(make_zmod(6), members)
+
+
 def test_ideal_set_rejects_set_not_closed_under_ambient_multiplication():
     ring = evaluate(parse_ring_expr("GR(Z2, C2)"))
     with pytest.raises(ValueError, match="not closed under ambient multiplication"):

@@ -86,6 +86,18 @@ def test_sweep_splits_associate_classes_once_per_base_ring(monkeypatch):
     assert sorted(misses) == sorted(evaluate(e).label for e in ring_catalog(config))
 
 
+def test_sweep_takes_element_classes_of_base_rings_only(monkeypatch):
+    # the definitional scans of RG read no element classes; the base
+    # rings' classes feed the predicates and the group-ring build
+    config = SweepConfig(max_ring_order=4, max_product_order=4, max_group_order=2, max_groupring_order=64)
+    misses = _count_misses(monkeypatch, rings, "element_classes")
+    for module in (classify, ideals, group_algebra):
+        monkeypatch.setattr(module, "element_classes", rings.element_classes)
+    report = run_sweep(config)
+    assert report.all_agree and len(report.records) > len(ring_catalog(config))
+    assert sorted(misses) == sorted(evaluate(e).label for e in ring_catalog(config))
+
+
 def test_residue_orders_are_derived_once_on_a_semiprimitive_ring(monkeypatch):
     # J(Z6) = 0, so the weakly nil-neat criterion reads the residue orders
     # as well as the weakly nil-clean one
@@ -141,11 +153,12 @@ def test_neat_verdicts_build_no_ring(monkeypatch, label, decide):
 
 
 def test_neat_verdicts_scan_minimal_ideals_up_to_the_first_failure(monkeypatch):
-    # Z2^6: six minimal ideals, all with nil-clean quotients; Z9 x Z3: the
-    # first quotient, by 0 x Z3, is weakly nil-clean and the second, by
+    # one scan of R itself, as R/0, then the minimal ideals.  Z2^6: six
+    # minimal ideals, all with nil-clean quotients; Z9 x Z3: the first
+    # quotient, by 0 x Z3, is weakly nil-clean and the second, by
     # 3Z9 x 0, is not
     calls = _record_calls(monkeypatch, classify, "_clean_mod")
-    for label, expected in (("Z2 x Z2 x Z2 x Z2 x Z2 x Z2", 6), ("Z9 x Z3", 2)):
+    for label, expected in (("Z2 x Z2 x Z2 x Z2 x Z2 x Z2", 7), ("Z9 x Z3", 3)):
         ring = evaluate(parse_ring_expr(label))
         calls.clear()
         classify_ring(ring)

@@ -1,6 +1,7 @@
 """Ring kernel: constructors, element classes, axiom validation."""
 
 import ast
+import tracemalloc
 from pathlib import Path
 from types import ModuleType, SimpleNamespace
 
@@ -33,6 +34,27 @@ def test_make_zmod_basic():
     assert z3.order == 3
     assert z3.label == "Z3"
     assert [order for order, *_ in util.element_profiles(z3)] == [1, 3, 3]
+
+
+def test_make_zmod_tables_span_row_blocks():
+    # 600 rows of 600 entries take two row blocks
+    idx = np.arange(600)
+    ring = make_zmod(600)
+    assert ring.add.dtype == np.int16
+    assert np.array_equal(ring.add, np.add.outer(idx, idx) % 600)
+    assert np.array_equal(ring.mul, np.multiply.outer(idx, idx) % 600)
+
+
+def test_make_zmod_builds_one_row_block_at_a_time():
+    # Z4096 has 2 x 32 MiB of int16 tables; whole int64 outer products
+    # and their remainders would allocate 384 MiB at the peak
+    tracemalloc.start()
+    try:
+        ring = make_zmod(4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - ring.add.nbytes - ring.mul.nbytes <= 8 << 20, peak
 
 
 def test_make_zmod_rejects_degenerate():

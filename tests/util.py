@@ -2,13 +2,15 @@
 
 The oracles are computed with plain integer arithmetic (or frozen
 from well-known tables), deliberately avoiding the table machinery
-under test.  The exceptions are four table-level searches that share
+under test.  The exceptions are five table-level searches that share
 no code with the package: :func:`axiom_violations`, an exhaustive numpy
 scan of the raw tables, :func:`peirce_shape`, a search over them,
-:func:`ring_isomorphic`, a backtracking isomorphism search, and
-:func:`minimal_ideals_by_rank`, an annihilator-size rule on them.
-:func:`neat_verdicts_by_quotients` is the other kind: it replays the
-neat deciders through package quotients, to check their coset scan.
+:func:`ring_isomorphic`, a backtracking isomorphism search,
+:func:`minimal_ideals_by_rank`, an annihilator-size rule on them, and
+:func:`clean_verdicts_by_element_scan`, an N + E and N - E scan of them.
+:func:`neat_verdicts_by_quotients` is the other kind: it builds each
+minimal quotient with the package and scans it with that element scan,
+to check the package's coset scan.
 """
 
 from __future__ import annotations
@@ -304,10 +306,39 @@ def minimal_ideals_by_rank(ring) -> list[tuple[int, ...]]:
     return sorted(found, key=lambda m: (len(m), m))
 
 
+def clean_verdicts_by_element_scan(ring) -> tuple:
+    """The (nil-clean, weakly nil-clean) verdicts as ``(ok, witness)``
+    pairs, the witness the least element outside N + E, then outside
+    (N + E) union (N - E), or None.
+
+    Reads only ``order``, ``add``, ``mul`` and ``zero``: x is nilpotent
+    iff some x^(2^k) with k at most the bit length of the order is 0,
+    idempotent iff it sits where the diagonal of ``mul`` is its own
+    index, and -e is where row e of ``add`` hits 0.
+    """
+    add, mul, n = np.asarray(ring.add), np.asarray(ring.mul), ring.order
+    power = np.arange(n)
+    nil = power == ring.zero
+    for _ in range(n.bit_length()):
+        power = mul[power, power]
+        nil |= power == ring.zero
+    nil = np.flatnonzero(nil)
+    idem = np.flatnonzero(mul.diagonal() == np.arange(n))
+    minus_idem = (add[idem] == ring.zero).argmax(axis=1)
+    covered = np.zeros(n, dtype=bool)
+    verdicts = []
+    for summands in (idem, minus_idem):
+        covered[add[np.ix_(nil, summands)]] = True
+        ok = bool(covered.all())
+        verdicts.append((ok, None if ok else int(covered.argmin())))
+    return tuple(verdicts)
+
+
 def neat_verdicts_by_quotients(ring) -> tuple:
     """The (nil-neat, weakly nil-neat) verdicts, each R/M built as a
-    table ring by ``quotient_ring`` and then scanned by the clean
-    deciders, over the nonwhole minimal ideals M in canonical order.
+    table ring by ``quotient_ring`` and then scanned by
+    :func:`clean_verdicts_by_element_scan`, over the nonwhole minimal
+    ideals M in canonical order.
 
     The stop rule and the witnesses are those of the neat deciders: the
     earliest failing M, and the scan ends at the first R/M that is not
@@ -317,10 +348,10 @@ def neat_verdicts_by_quotients(ring) -> tuple:
     for ideal in ringlab.minimal_ideals(ring):
         if ideal.is_whole:
             continue
-        quot = ringlab.quotient_ring(ring, ideal)
-        if nil_neat.ok and not ringlab.is_nil_clean_definitional(quot).ok:
+        (clean, _), (weak, _) = clean_verdicts_by_element_scan(ringlab.quotient_ring(ring, ideal))
+        if nil_neat.ok and not clean:
             nil_neat = ringlab.Verdict(False, ideal)
-        if not ringlab.is_weakly_nil_clean_definitional(quot).ok:
+        if not weak:
             return nil_neat, ringlab.Verdict(False, ideal)
     return nil_neat, fine
 
