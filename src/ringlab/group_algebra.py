@@ -11,11 +11,11 @@ is a base-``|R|`` digit of the index, so no coefficient table is kept.
 :func:`group_ring` builds RG's tables straight from those of R, and
 :func:`karpilovsky_radical` reads J(RG) off R and G alone.
 
-RG is an R-algebra, so u * (a y) = (a u) * y for a in R, where a x
-scales each coefficient of x by a.  :func:`group_ring` uses this to
-gather from RG's ``add`` only for the least member b of each associate
-class {a b : a a unit} of R; every other column block of ``mul`` is a
-block b read with its rows and columns permuted by unit scalings.
+Each trivial unit t = a g of RG (a a unit of R, g in G) permutes RG,
+and mul[t x, y] = mul[x, t y].  :func:`group_ring` uses this to gather
+from RG's ``add`` only the row of the least member of each orbit of
+these units; every other row of ``mul`` is such a row read through the
+permutation of one trivial unit.
 """
 
 from __future__ import annotations
@@ -30,9 +30,7 @@ from .rings import (
     DEFAULT_ORDER_CAP,
     CapExceeded,
     RingTable,
-    _memo,
     _product_table,
-    _readonly,
     _row_blocks,
     _table_dtype,
     element_classes,
@@ -168,52 +166,30 @@ def _digits(count: int, base: int, width: int) -> np.ndarray:
     return ((np.arange(count, dtype=np.int64) // radix[:, None]) % base).astype(_table_dtype(base))
 
 
-@_memo
-def _associates(base: RingTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split each c in R as a*b with a a unit and b the least member of
-    c's associate class {a*c : a a unit}.
-
-    Returns ``least`` (b for each c) and, for each c, the units
-    ``scale[c]`` = a and ``unscale[c]`` = a^-1, all read-only.  The units
-    come from :func:`ringlab.rings.element_classes`; a pass over their
-    rows of ``mul`` finds each one's inverse where its row hits 1, and
-    a pass over the unit columns the least entry of each row and the
-    unit it sits at, both in row blocks.
-    """
-    n = base.order
-    unit_idx = np.flatnonzero(element_classes(base).units)
-    inverse = np.empty(unit_idx.size, dtype=np.intp)  # inverse[k] * unit_idx[k] = 1
-    for rows in _row_blocks(unit_idx.size, n):
-        inverse[rows] = (base.mul.take(unit_idx[rows], axis=0) == base.one).argmax(axis=1)
-    least = np.empty(n, dtype=np.intp)
-    k = np.empty(n, dtype=np.intp)  # position in unit_idx of the unit taking c to least[c]
-    for rows in _row_blocks(n, unit_idx.size):
-        orbit = base.mul[rows].take(unit_idx, axis=1)
-        k[rows] = orbit.argmin(axis=1)
-        least[rows] = np.take_along_axis(orbit, k[rows, None], axis=1)[:, 0]
-    return _readonly(least), _readonly(inverse[k]), _readonly(unit_idx[k])
-
-
 def group_ring(base: RingTable, group: AbelianGroup, *, cap: int = DEFAULT_ORDER_CAP) -> GroupRingView:
     """Build RG straight from the tables of R, whose zero must be index 0.
 
     A base ring with its zero elsewhere raises :class:`ValueError`.  With
     n = |R|, addition works digit by digit: the table of the elements on
     g_0 .. g_t is add_R[u_t, v_t] n^t + (the table on g_0 .. g_(t-1)).
+
     Multiplication is additive in its second argument: u * (c g_t) has
     index sum_h mul_R[u_h, c] n^pos(g_h g_t), and for v < n^t, u * (c n^t
-    + v) = u * (c g_t) + u * v.  So ``mul`` is filled in increasing
-    column order, one block of columns c n^t + v (v < n^t) per nonzero c
-    in R.
+    + v) = u * (c g_t) + u * v.  So a row of ``mul`` can be filled in
+    increasing column order: all n - 1 blocks of columns c n^t + v
+    (v < n^t, c != 0) of a level t in one flat ``np.take`` from RG's own
+    ``add``, whose intp indices are formed one row block of at most
+    ``_BLOCK`` entries at a time.
 
-    Only a block whose c is the least member b of its associate class
-    gathers from RG's own ``add``, once per entry: a flat ``np.take``
-    whose intp indices are formed one row block of at most ``_BLOCK``
-    entries at a time.  Every other c is a*b with a a unit, and RG is an
-    R-algebra, so u * (a y) = (a u) * y.  With y = b g_t + a^-1 v, that
-    block is block b with its rows permuted by u -> a u and its columns
-    by v -> a^-1 v, where a x = sum_h mul_R[a, x_h] n^h digit by digit:
-    each row of block b is read as one contiguous slice.
+    Only the least member r of each orbit of the trivial units
+    T = R^x x G has its row filled so.  Each t = a g in T permutes RG
+    (a scales every coefficient, g shifts them), and mul[t x, y] =
+    mul[x, t y].  So the row of an x with t x = r is row r read through
+    the permutation y -> t^-1 y, one contiguous row at a time.  The
+    permutations are formed for a chunk of T at a time, once to find
+    each x's least image t x and once to read the rows of the x that t
+    takes there.  Every row is written straight into ``mul``, so no
+    temporary outgrows a chunk or a row block.
     """
     n = base.order
     m = group.order
@@ -225,28 +201,48 @@ def group_ring(base: RingTable, group: AbelianGroup, *, cap: int = DEFAULT_ORDER
     for _ in range(1, m):
         add = _product_table(base.add, add, dt)
     digits = _digits(size, n, m)
-    radix = n ** np.arange(m, dtype=np.int64)
-    least, scale, unscale = _associates(base)
     elements = group.elements()
     index = {e: i for i, e in enumerate(elements)}
+    # weight[g, h] = n^pos(g_h g), the place value of digit h of x in g x
+    weight = n ** np.array([[index[tuple((a + b) % d for a, b, d in zip(eh, eg, group.factors))] for eh in elements]
+                            for eg in elements], dtype=np.int64)
+    units = np.flatnonzero(element_classes(base).units)
+    chunks = list(_row_blocks(units.size, m * m * size))  # t = a g is numbered (position of a) m + g
+
+    def act(us: slice) -> np.ndarray:
+        """Row k m + g is the permutation x -> a g x of RG, for a = units[us][k]."""
+        scaled = base.mul[units[us]][:, None, digits]  # [k, 0, h, x] is digit h of a x
+        return (scaled * weight[:, :, None].astype(dt)).sum(axis=2, dtype=dt).reshape(-1, size)
+
+    least = np.arange(size, dtype=dt)  # least member of x's orbit seen so far
+    taker = np.full(size, -1, dtype=np.intp)  # a t with t x = least[x] < x, or -1 while x is least
+    for us in chunks:
+        perms = act(us)
+        low = perms.min(axis=0)
+        lower = low < least
+        np.copyto(taker, perms.argmin(axis=0) + us.start * m, where=lower)
+        np.copyto(least, low, where=lower)
+    # the least members in increasing order, then every other x sorted by its t
+    reps, others = np.split(np.argsort(taker, kind="stable"), [np.count_nonzero(taker < 0)])
     flat = add.ravel()  # add[u, v] is flat[u * size + v]
-    mul = np.zeros((size, size), dtype=dt)
-    for t, et in enumerate(elements):
-        pos = [index[tuple((a + b) % d for a, b, d in zip(eh, et, group.factors))] for eh in elements]
-        lo = n**t
-        for c in range(1, n):
-            b = least[c]
-            if b == c:
-                col = (base.mul[digits, c] * radix[pos, None]).sum(axis=0).astype(np.intp) * size
-                for rows in _row_blocks(size, lo):
-                    idx = mul[rows, :lo] + col[rows, None]  # formed in intp, col's dtype
-                    mul[rows, c * lo : (c + 1) * lo] = np.take(flat, idx)
-            else:  # c = a b: entry (u, v) of block c is entry (a u, a^-1 v) of block b
-                src_rows = (base.mul[scale[c], digits] * radix[:, None]).sum(axis=0)
-                src_cols = (base.mul[unscale[c], digits[:t, :lo]] * radix[:t, None]).sum(axis=0)
-                block = mul[:, b * lo : (b + 1) * lo]
-                for rows in _row_blocks(size, lo):
-                    mul[rows, c * lo : (c + 1) * lo] = block[src_rows[rows]].take(src_cols, axis=1)
+    mul = np.empty((size, size), dtype=dt)
+    mul[reps, 0] = 0  # u * 0, where the recurrence starts
+    for rows in _row_blocks(reps.size, size):
+        u = reps[rows]
+        # col[u, t, c - 1] = (u * (c g_t)) size, so that col + u * v addresses add[u * (c g_t), u * v]
+        col = weight @ base.mul[digits[:, u].T, 1:] * size
+        for t in range(m):
+            lo = n**t
+            idx = mul[u, :lo][:, None, :] + col[:, t, :, None]
+            mul[u, lo : n * lo] = np.take(flat, idx).reshape(u.size, -1)
+    # others[bounds[t] : bounds[t + 1]] are the x that t takes to their least member
+    bounds = np.searchsorted(taker[others], np.arange(units.size * m + 1)).tolist()
+    for us in chunks:
+        inverse = act(us).argsort(axis=1, kind="stable")  # row k is y -> t^-1 y, t numbered us.start m + k
+        for k, t in enumerate(range(us.start * m, us.stop * m)):
+            x = others[bounds[t] : bounds[t + 1]]
+            for rows in _row_blocks(x.size, size):
+                mul[x[rows]] = mul[least[x[rows]]].take(inverse[k], axis=1)
     ring = RingTable(add, mul, zero=0, one=int(base.one), label=f"GR({base.label}, {group.label})")
     return GroupRingView(ring, base, group)
 

@@ -14,8 +14,8 @@ through the private :func:`_gather`, one row block at a time.
 
 Facts derived from the tables (element classes, the ideal lattice,
 minimal and maximal ideals, the radicals, residue orders, the shapes of
-R/N and R/J, the four definitional verdicts, the weakly nil-clean criterion,
-associate classes) are memoized on the instance by the private
+R/N and R/J, the four definitional verdicts, the weakly nil-clean
+criterion) are memoized on the instance by the private
 :func:`_memo` decorator, so each is computed at most once per ring.  A
 memo value is a bool, an int, a read-only array, an ideal, a tuple of
 these or a small frozen record of them, and never holds a reference
@@ -106,8 +106,11 @@ class RingTable:
         for name, t in (("add", add), ("mul", mul)):
             if not np.issubdtype(t.dtype, np.integer):
                 raise ValueError(f"{name} table entries must be integers, not {t.dtype}")
-            # checked before narrowing to the table dtype, which could wrap them into range
-            if t.min() < 0 or t.max() >= n:
+            if t.dtype == dt:  # one pass: read unsigned, a negative entry exceeds every order of this dtype
+                out_of_range = t.view(f"u{dt.itemsize}").max() >= n
+            else:  # checked before narrowing to the table dtype, which could wrap them into range
+                out_of_range = t.min() < 0 or t.max() >= n
+            if out_of_range:
                 raise ValueError(f"{name} table entry out of range")
         add = add.astype(dt, copy=False)
         mul = mul.astype(dt, copy=False)

@@ -1,5 +1,6 @@
 """Abelian groups, group rings and the radical formula."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from ringlab import (
     CapExceeded,
     RingTable,
     direct_product,
+    element_classes,
     group_ring,
     ideal_generated,
     jacobson_radical,
@@ -20,6 +22,7 @@ from ringlab import (
     nilradical,
     parse_ring_expr,
 )
+from ringlab import group_algebra
 from ringlab.expr import evaluate
 from ringlab.group_algebra import AbelianGroup
 from ringlab.sweep import group_catalog
@@ -222,3 +225,52 @@ def test_group_ring_matches_full_convolution(sweep_group_rings):
         for got, want in ((view.ring.add, ring.add), (view.ring.mul, ring.mul)):
             assert got.dtype == want.dtype and np.array_equal(got, want), ring.label
         assert (view.ring.zero, view.ring.one, view.ring.label) == (ring.zero, ring.one, ring.label)
+
+
+class _TakeSpy:
+    """Stands in for numpy in :mod:`ringlab.group_algebra`, recording the
+    source array and index count of every ``np.take``."""
+
+    def __init__(self):
+        self.takes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def take(self, a, indices, *args, **kwargs):
+        self.takes.append((a, np.size(indices)))
+        return np.take(a, indices, *args, **kwargs)
+
+
+@pytest.mark.parametrize("text, cap, orbits", [
+    ("GR(Z9, C4)", 6561, 291),
+    ("GR(Z4096, 1)", 4096, 13),
+    ("GR(Z2 x Z3, C2 x C2)", 4096, 191),
+])
+def test_group_ring_gathers_from_add_once_per_orbit_of_trivial_units(monkeypatch, text, cap, orbits):
+    # only the least member of each orbit of T = R^x x G gathers its row
+    # from add, one entry per nonzero column; every other row is read off it
+    expr = parse_ring_expr(text)
+    base, group = evaluate(expr.base), make_group(expr.orders)
+    spy = _TakeSpy()
+    monkeypatch.setattr(group_algebra, "np", spy)
+    ring = group_ring(base, group, cap=cap).ring
+    gathered = sum(count for a, count in spy.takes if np.shares_memory(a, ring.add))
+    assert gathered == orbits * (ring.order - 1)
+    # the orbit count again, from RG's own product with its trivial units a n^g
+    trivial = (np.flatnonzero(element_classes(base).units)[:, None] * base.order ** np.arange(group.order)).ravel()
+    least = ring.mul[trivial].min(axis=0)
+    assert np.count_nonzero(least == np.arange(ring.order)) == orbits
+
+
+@pytest.mark.parametrize("text, cap, digest", [
+    ("GR(Z9, C4)", 6561, "25ecce4aad1e2e4e"),
+    ("GR(Z2 x Z3, C2 x C2)", 4096, "cb2526b93380df14"),
+    ("GR(Z4096, 1)", 4096, "20f0d60f97f2468c"),
+])
+def test_group_ring_tables_are_pinned_beyond_the_convolution_oracle(text, cap, digest):
+    # the full convolution oracle stops near order 1024; these digests of
+    # dtype, add and mul were taken from the column-by-column build
+    ring = evaluate(parse_ring_expr(text), order_cap=cap)
+    tables = str(ring.add.dtype).encode() + ring.add.tobytes() + ring.mul.tobytes()
+    assert hashlib.sha256(tables).hexdigest()[:16] == digest

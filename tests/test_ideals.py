@@ -128,8 +128,8 @@ def test_quotient_cosets_are_found_in_row_blocks():
 
 @pytest.mark.parametrize("text, cap", [("GR(Z9, C4)", 6561), ("GR(Z4096, 1)", 4096)])
 def test_group_ring_builds_one_scale_vector_at_a_time(text, cap):
-    # over Z4096, 4083 of the 4095 column blocks are rescaled ones; a
-    # table of every unit's scale vector would allocate 256 MiB
+    # over Z4096, 4083 of the 4096 rows are read through one of 2048
+    # unit permutations; a table of all of them would allocate 16 MiB
     expr = parse_ring_expr(text)
     base, group = evaluate(expr.base), make_group(expr.orders)
     tracemalloc.start()

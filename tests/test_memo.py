@@ -78,14 +78,6 @@ def _count_misses(monkeypatch, module, name) -> list[str]:
     return misses
 
 
-def test_sweep_splits_associate_classes_once_per_base_ring(monkeypatch):
-    config = SweepConfig(max_ring_order=4, max_product_order=4, max_group_order=2, max_groupring_order=64)
-    misses = _count_misses(monkeypatch, group_algebra, "_associates")
-    report = run_sweep(config)
-    assert report.all_agree and len(report.records) > len(ring_catalog(config))
-    assert sorted(misses) == sorted(evaluate(e).label for e in ring_catalog(config))
-
-
 def test_sweep_takes_element_classes_of_base_rings_only(monkeypatch):
     # the definitional scans of RG read no element classes; the base
     # rings' classes feed the predicates and the group-ring build
@@ -107,14 +99,6 @@ def test_residue_orders_are_derived_once_on_a_semiprimitive_ring(monkeypatch):
     assert weakly_nil_clean_group_ring_predicate(base, make_group([])).condition == 3
     assert misses == ["Z6"]
     assert classify._residue_orders(base) == (2, 3)
-
-
-def test_associate_classes_are_memoized_read_only():
-    base = make_zmod(9)
-    group_ring(base, make_group([3]))
-    arrays = group_algebra._associates(base)
-    assert len(arrays) == 3 and not any(a.flags.writeable for a in arrays)
-    assert group_algebra._associates.__wrapped__ in base._facts
 
 
 def _record_calls(monkeypatch, module, name) -> list:
