@@ -243,7 +243,9 @@ def group_ring(base: RingTable, group: AbelianGroup, *, cap: int = DEFAULT_ORDER
             x = others[bounds[t] : bounds[t + 1]]
             for rows in _row_blocks(x.size, size):
                 mul[x[rows]] = mul[least[x[rows]]].take(inverse[k], axis=1)
-    ring = RingTable(add, mul, zero=0, one=int(base.one), label=f"GR({base.label}, {group.label})")
+    # -x has digits -x_h, each placed at n^h = weight[0, h]
+    neg = (base.neg[digits] * weight[0, :, None].astype(dt)).sum(axis=0, dtype=dt)
+    ring = RingTable(add, mul, zero=0, one=int(base.one), label=f"GR({base.label}, {group.label})", neg=neg)
     return GroupRingView(ring, base, group)
 
 

@@ -102,8 +102,11 @@ class IdealSet:
 def _check_ideal(ring: RingTable, members: np.ndarray) -> None:
     """Raise ``ValueError`` unless ``members`` is an ideal.
 
-    Both closure checks go one row block at a time, so their temporaries
-    stay small however large the ideal.
+    Closure under ambient multiplication reads the members' own rows of
+    ``mul`` (every i r), so it reads |I| contiguous rows rather than |I|
+    scattered entries of every row; on a commutative table these are
+    the products r i.  Both closure checks go one row block at a time,
+    so their temporaries stay small however large the ideal.
     """
     member = np.zeros(ring.order, dtype=bool)
     member[members] = True
@@ -112,8 +115,8 @@ def _check_ideal(ring: RingTable, members: np.ndarray) -> None:
     for rows in _row_blocks(members.size, members.size):
         if not _gather(ring.add, members[rows], members, through=member).all():
             raise ValueError("set is not closed under addition")
-    for rows in _row_blocks(ring.order, members.size):
-        if not member[ring.mul[rows][:, members]].all():
+    for rows in _row_blocks(members.size, ring.order):
+        if not member[ring.mul.take(members[rows], axis=0)].all():
             raise ValueError("set is not closed under ambient multiplication")
 
 
@@ -240,6 +243,7 @@ def quotient_ring(ring: RingTable, ideal: IdealSet) -> RingTable:
         zero=int(proj[ring.zero]),
         one=int(proj[ring.one]),
         label=f"{ring.label}/({','.join(map(str, gens))})",
+        neg=proj[ring.neg[class_reps]],  # -(x + I) = -x + I
     )
 
 

@@ -10,7 +10,11 @@ strings that re-parse through the expression grammar in
 Tables are numpy integer arrays made read-only after construction, so
 instances are immutable and safe to share between threads.  Every
 read of a sub-table (the rows and columns at two index lists) goes
-through the private :func:`_gather`, one row block at a time.
+through the private :func:`_gather`, one row block at a time.  Each
+constructor in the package hands :class:`RingTable` the additive
+inverses it already holds (``neg``), which one O(n) gather checks, so
+only a table built outside the package has them derived by an n x n
+scan of ``add``.
 
 Facts derived from the tables (element classes, the ideal lattice,
 minimal and maximal ideals, the radicals, residue orders, the shapes of
@@ -75,20 +79,26 @@ class RingTable:
         Indices of the additive and multiplicative identities.
     label:
         Canonical descriptor; re-parses through the expression grammar.
+    neg:
+        The additive inverses, if the caller holds them; checked against
+        ``add``.  Entry ``i`` is the index of ``-i``.  Left out, they are
+        derived from ``add``, one n x n pass.
 
     The constructor always runs the cheap structural checks (square
     tables of equal shape, order >= 2, zero and one in range and
     distinct, integer entries, each in range before it is narrowed to
-    the table dtype) and raises ``ValueError`` on the first that fails.
-    The ring axioms are not checked, so a table that passes can still be
-    corrupted; :func:`element_classes` and the maximal ideals raise
+    the table dtype, and ``add[i, neg[i]] == zero`` for every i, one
+    O(n) gather, so an ``add`` row with no zero is rejected) and raises
+    ``ValueError`` on the first that fails.  The ring axioms are not
+    checked, so a table that passes can still be corrupted;
+    :func:`element_classes` and the maximal ideals raise
     :class:`DisagreementError` on the corruptions their own sanity facts
     catch.
     """
 
     __slots__ = ("order", "add", "mul", "zero", "one", "label", "neg", "_facts")
 
-    def __init__(self, add, mul, zero: int, one: int, label: str):
+    def __init__(self, add, mul, zero: int, one: int, label: str, neg=None):
         add = np.asarray(add)
         mul = np.asarray(mul)
         if add.ndim != 2 or add.shape != mul.shape or add.shape[0] != add.shape[1]:
@@ -103,27 +113,41 @@ class RingTable:
             raise ValueError("zero/one index out of range")
         if zero == one:
             raise ValueError("one must differ from zero")
-        for name, t in (("add", add), ("mul", mul)):
-            if not np.issubdtype(t.dtype, np.integer):
-                raise ValueError(f"{name} table entries must be integers, not {t.dtype}")
+        tables = {"add": add, "mul": mul}
+        if neg is not None:
+            tables["neg"] = neg = np.asarray(neg)
+            if neg.shape != (n,):
+                raise ValueError(f"neg must have shape ({n},), not {neg.shape}")
+        for name, t in tables.items():
             if t.dtype == dt:  # one pass: read unsigned, a negative entry exceeds every order of this dtype
                 out_of_range = t.view(f"u{dt.itemsize}").max() >= n
+            elif not np.issubdtype(t.dtype, np.integer):
+                raise ValueError(f"{name} table entries must be integers, not {t.dtype}")
             else:  # checked before narrowing to the table dtype, which could wrap them into range
                 out_of_range = t.min() < 0 or t.max() >= n
             if out_of_range:
                 raise ValueError(f"{name} table entry out of range")
         add = add.astype(dt, copy=False)
         mul = mul.astype(dt, copy=False)
+        derived = neg is None
+        if derived:  # the additive inverse of i sits where row i of `add` hits zero
+            neg = np.empty(n, dtype=dt)
+            for rows in _row_blocks(n, n):
+                neg[rows] = (add[rows] == zero).argmax(axis=1)
+        else:
+            neg = neg.astype(dt, copy=False)
+        # one gather checks every inverse, derived or handed down
+        bad = add[np.arange(n), neg] != zero
+        if np.count_nonzero(bad):
+            i = int(bad.argmax())
+            raise ValueError(f"add row {i} has no zero" if derived
+                             else f"neg[{i}] = {neg[i]} is not an additive inverse of {i}")
         self.order = n
         self.zero = zero
         self.one = one
         self.label = str(label)
         self.add = _readonly(add)
         self.mul = _readonly(mul)
-        # additive inverse of i sits where row i of `add` hits zero
-        neg = np.empty(n, dtype=dt)
-        for rows in _row_blocks(n, n):
-            neg[rows] = (add[rows] == zero).argmax(axis=1)
         self.neg = _readonly(neg)
         self._facts: dict = {}
 
@@ -212,12 +236,15 @@ def make_zmod(n: int, *, cap: int = DEFAULT_ORDER_CAP) -> RingTable:
     for rows in _row_blocks(n, n):
         add[rows] = np.add.outer(idx[rows], idx) % n
         mul[rows] = np.multiply.outer(idx[rows], idx) % n
-    return RingTable(add, mul, zero=0, one=1, label=f"Z{n}")
+    return RingTable(add, mul, zero=0, one=1, label=f"Z{n}", neg=(-idx % n).astype(add.dtype))
 
 
 def _product_table(a: np.ndarray, b: np.ndarray, dt: np.dtype) -> np.ndarray:
     """The table on row-major pairs with entry ``a[i, k] |b| + b[j, l]`` at
-    ``[i|b| + j, k|b| + l]``, computed in ``dt`` with no wider temporary."""
+    ``[i|b| + j, k|b| + l]``, computed in ``dt`` with no wider temporary.
+
+    With one column each, ``a`` and ``b`` give the pairs' column of
+    ``a[i, 0] |b| + b[j, 0]``, as for the additive inverses."""
     nb = b.shape[0]
     a = a.astype(dt, copy=False)
     b = b.astype(dt, copy=False)
@@ -243,6 +270,7 @@ def direct_product(r: RingTable, s: RingTable, *, cap: int = DEFAULT_ORDER_CAP) 
         zero=r.zero * ns + s.zero,
         one=r.one * ns + s.one,
         label=_product_label(r.label, s.label),
+        neg=_product_table(r.neg[:, None], s.neg[:, None], dt)[:, 0],
     )
 
 

@@ -141,6 +141,20 @@ def test_group_ring_builds_one_scale_vector_at_a_time(text, cap):
     assert peak - ring.add.nbytes - ring.mul.nbytes <= 8 << 20, peak
 
 
+def test_ideal_check_of_a_maximal_ideal_reads_its_rows_in_blocks():
+    # a maximal ideal of GR(Z9, C4) has 2187 members; reading all of
+    # their rows of mul at once would allocate 28 MiB
+    ring = evaluate(parse_ring_expr("GR(Z9, C4)"), order_cap=6561)
+    ideal = next(m for m in maximal_ideals(ring) if len(m) == 2187)
+    tracemalloc.start()
+    try:
+        IdealSet(ring, ideal.members)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 << 20, peak
+
+
 def test_neat_pass_scans_cosets_in_row_blocks():
     # the first nonwhole minimal ideal of GR(Z9, C4) has a quotient of
     # order 2187, whose two tables alone would take 18.2 MiB
@@ -320,6 +334,43 @@ def test_ideal_generated_matches_additive_closure(ideal_test_rings, data):
     got = ideal_generated(ring, gens).members
     want = _closure_reference(ring, gens)
     assert got.dtype == np.int64 and np.array_equal(got, want), (ring.label, gens)
+
+
+def _ideal_check_accepts(ring, members) -> bool:
+    try:
+        ideals._check_ideal(ring, members)
+    except ValueError:
+        return False
+    return True
+
+
+def _additive_span(ring, gens) -> np.ndarray:
+    """Sorted members of the additive subgroup generated by ``gens``."""
+    span = {ring.zero}
+    for g in gens:
+        while True:  # close under + g
+            more = span | {int(ring.add[x, g]) for x in span}
+            if more == span:
+                break
+            span = more
+    return np.array(sorted(span), dtype=np.int64)
+
+
+def test_ideal_check_matches_column_reads_on_every_ideal(plain_ring_catalog):
+    for ring in plain_ring_catalog:
+        for ideal in enumerate_ideals(ring, cap=ring.order):
+            assert util.is_ideal_by_columns(ring, ideal.members), (ring.label, ideal)
+            assert _ideal_check_accepts(ring, ideal.members), (ring.label, ideal)
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_ideal_check_matches_column_reads_on_random_subsets(plain_ring_catalog, data):
+    # an additive span fails, if at all, only the multiplicative check
+    ring = data.draw(st.sampled_from(plain_ring_catalog))
+    picked = data.draw(st.lists(st.integers(0, ring.order - 1), min_size=1, max_size=4))
+    members = _additive_span(ring, picked) if data.draw(st.booleans()) else np.unique(picked)
+    assert _ideal_check_accepts(ring, members) == util.is_ideal_by_columns(ring, members), (ring.label, members)
 
 
 def test_is_prime_ideal_examples():

@@ -227,23 +227,26 @@ def test_element_classes_rejects_corrupted_table():
         element_classes(broken)
 
 
-def test_element_classes_check_survives_optimize_flag():
-    # the same corrupted table under ``python -O``, which strips asserts
+@pytest.mark.parametrize("corrupt, error", [
+    ("mul[0, 0] = 1", "DisagreementError"),
+    ("add[1] = [1, 2, 3, 1]", "ValueError"),  # row 1 has no zero
+], ids=["corrupted-mul", "add-row-without-zero"])
+def test_element_classes_check_survives_optimize_flag(corrupt, error):
+    # the same corrupted tables under ``python -O``, which strips asserts
     code = (
         "import numpy as np\n"
         "from ringlab import DisagreementError, RingTable, element_classes, make_zmod\n"
         "z4 = make_zmod(4)\n"
-        "mul = np.array(z4.mul)\n"
-        "mul[0, 0] = 1\n"
-        "broken = RingTable(z4.add, mul, zero=0, one=1, label='Z4broken')\n"
+        "add, mul = np.array(z4.add), np.array(z4.mul)\n"
+        f"{corrupt}\n"
         "try:\n"
-        "    element_classes(broken)\n"
-        "except DisagreementError:\n"
-        "    print('raised')\n"
+        "    element_classes(RingTable(add, mul, zero=0, one=1, label='Z4broken'))\n"
+        "except (DisagreementError, ValueError) as e:\n"
+        "    print(type(e).__name__)\n"
     )
     done = util.run_python("-O", "-c", code, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "raised"
+    assert done.stdout.strip() == error
 
 
 def test_package_has_no_assert_statements():
@@ -343,9 +346,9 @@ def _z4_args(**changes):
     return {"add": np.array(z4.add), "mul": np.array(z4.mul), "zero": 0, "one": 1, "label": "Z4", **changes}
 
 
-def _z4_args_with_entry(name, value):
+def _z4_args_with_entry(name, value, at=(1, 1)):
     args = _z4_args()
-    args[name][1, 1] = value
+    args[name][at] = value
     return args
 
 
@@ -368,12 +371,43 @@ def _z2_args(one):
     (_z2_args(-65535), "add table entry out of range"),
     (_z4_args(add=np.array([[0, 1.7], [1.2, 0]]), mul=np.array([[0, 0], [0, 1]])),
      "add table entries must be integers, not float64"),
+    (_z4_args_with_entry("add", [1, 2, 3, 1], at=1), "add row 1 has no zero"),
+    (_z4_args(neg=[0, 3, 1, 1]), r"neg\[2\] = 1 is not an additive inverse of 2"),
+    (_z4_args(neg=[0, 3, 2, 4]), "neg table entry out of range"),
+    (_z4_args(neg=[[0, 3, 2, 1]]), r"neg must have shape \(4,\), not \(1, 4\)"),
+    (_z4_args(neg=[0.0, 3.0, 2.0, 1.0]), "neg table entries must be integers, not float64"),
 ], ids=["non-square", "unequal-shapes", "zero-out-of-range", "one-out-of-range", "zero-is-one",
         "add-entry-out-of-range", "mul-entry-out-of-range", "entry-wrapping-to-1", "negative-entry-wrapping-to-1",
-        "float-entries"])
+        "float-entries", "add-row-without-zero", "neg-wrong", "neg-out-of-range", "neg-wrong-shape",
+        "neg-not-integer"])
 def test_constructor_rejects_malformed_tables(args, message):
     with pytest.raises(ValueError, match=message):
         RingTable(**args)
+
+
+def _assert_neg_matches_scan(ring):
+    want = util.neg_by_scan(ring)
+    assert ring.neg.dtype == want.dtype == ring.add.dtype, ring.label
+    assert np.array_equal(ring.neg, want), ring.label
+
+
+def test_handed_down_neg_matches_add_scan(plain_ring_catalog):
+    # every constructor hands RingTable the inverses it holds; here they
+    # are pinned against the scan that RingTable no longer runs for them
+    quotients = [evaluate(parse_ring_expr(text))
+                 for text in ("GR(Z3, C3)/(13)", "GR(Z2, C3)/(7)", "GR(Z9, C3)/(33,97)")]
+    factors = list(plain_ring_catalog) + quotients
+    bases = [make_zmod(n) for n in range(2, 65)] + quotients
+    bases += [direct_product(r, s) for r in factors for s in factors if r.order * s.order <= 64]
+    groups = [make_group(orders) for orders in ([2], [3], [2, 2], [4])]
+    built = 0
+    for base in bases:
+        _assert_neg_matches_scan(base)
+        for group in groups:
+            if base.order**group.order <= 1024:  # built and dropped one at a time
+                _assert_neg_matches_scan(group_ring(base, group, cap=1024).ring)
+                built += 1
+    assert built >= 50
 
 
 @pytest.mark.parametrize("domain, image, message", [

@@ -2,12 +2,14 @@
 
 The oracles are computed with plain integer arithmetic (or frozen
 from well-known tables), deliberately avoiding the table machinery
-under test.  The exceptions are five table-level searches that share
+under test.  The exceptions are seven table-level searches that share
 no code with the package: :func:`axiom_violations`, an exhaustive numpy
 scan of the raw tables, :func:`peirce_shape`, a search over them,
 :func:`ring_isomorphic`, a backtracking isomorphism search,
-:func:`minimal_ideals_by_rank`, an annihilator-size rule on them, and
-:func:`clean_verdicts_by_element_scan`, an N + E and N - E scan of them.
+:func:`minimal_ideals_by_rank`, an annihilator-size rule on them,
+:func:`clean_verdicts_by_element_scan`, an N + E and N - E scan of them,
+:func:`neg_by_scan`, the additive inverses read off ``add``, and
+:func:`is_ideal_by_columns`, an ideal test that reads ``mul`` by columns.
 :func:`neat_verdicts_by_quotients` is the other kind: it builds each
 minimal quotient with the package and scans it with that element scan,
 to check the package's coset scan.
@@ -285,6 +287,25 @@ def ring_isomorphic(left, right) -> list[int] | None:
         return None
 
     return search(extend([None] * n, [(left.zero, right.zero), (left.one, right.one)]))
+
+
+def neg_by_scan(ring) -> np.ndarray:
+    """The additive inverses, in the table dtype: -x is where row x of
+    ``add`` first hits zero."""
+    add = np.asarray(ring.add)
+    return (add == ring.zero).argmax(axis=1).astype(add.dtype)
+
+
+def is_ideal_by_columns(ring, members) -> bool:
+    """Whether ``members`` holds zero and is closed under + and under
+    ambient *, the products r i read from the members' columns of every
+    row of ``mul``."""
+    members = np.unique(np.asarray(members, dtype=np.int64))
+    member = np.zeros(ring.order, dtype=bool)
+    member[members] = True
+    add, mul = np.asarray(ring.add), np.asarray(ring.mul)
+    return bool(member[ring.zero] and member[add[np.ix_(members, members)]].all()
+                and member[mul[:, members]].all())
 
 
 def minimal_ideals_by_rank(ring) -> list[tuple[int, ...]]:
