@@ -84,12 +84,13 @@ def _build_parser() -> _ArgumentParser:
     p_ideals.add_argument("--json", action="store_true")
 
     p_verify = sub.add_parser("verify-theorem", help="exhaustive group-ring classification sweep")
-    p_verify.add_argument("--max-ring-order", type=int, default=9)
-    p_verify.add_argument("--max-product-order", type=int, default=12)
-    p_verify.add_argument("--max-group-order", type=int, default=4)
-    p_verify.add_argument("--max-groupring-order", type=int, default=1024)
+    defaults = SweepConfig()
+    p_verify.add_argument("--max-ring-order", type=int, default=defaults.max_ring_order)
+    p_verify.add_argument("--max-product-order", type=int, default=defaults.max_product_order)
+    p_verify.add_argument("--max-group-order", type=int, default=defaults.max_group_order)
+    p_verify.add_argument("--max-groupring-order", type=int, default=defaults.max_groupring_order)
     p_verify.add_argument("--out", default=None, help="write the JSONL report here instead of stdout")
-    p_verify.add_argument("--jobs", type=int, default=1, metavar="N",
+    p_verify.add_argument("--jobs", type=int, default=defaults.jobs, metavar="N",
                           help="worker processes; each builds its own group rings, "
                                "so N of them multiply peak memory by up to N")
     p_verify.add_argument("--cache", default=None, help=f"cache file (default: ${ENV_VAR})")

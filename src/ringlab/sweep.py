@@ -7,13 +7,16 @@ evaluates the structural group-ring predicates, and records whether the
 two sides agree.  Records are sorted by (|RG|, ring label, group label)
 so reports are byte-stable; wall times are the only nondeterministic
 fields.
+
+With ``jobs > 1`` the pairs run in a process pool.  The pool is imported
+on first use, so a serial sweep and every other command start without
+loading ``multiprocessing``.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 
@@ -43,12 +46,21 @@ class SweepConfig:
             raise ValueError("max_groupring_order must be >= 2")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        cpus = os.cpu_count() or 1
+        cpus = usable_cpus()
         if self.jobs > cpus:
-            raise ValueError(f"jobs must be <= {cpus}, the number of CPUs")
+            raise ValueError(f"jobs must be <= {cpus}, the number of CPUs this process may use")
 
     def to_dict(self) -> dict:
         return {k: v for k, v in asdict(self).items() if k != "jobs"}
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, which a cpuset or ``taskset`` may set below the
+    host's count, and the host's count elsewhere."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def ring_catalog(config: SweepConfig) -> list[RingExpr]:
@@ -174,6 +186,8 @@ def run_sweep(config: SweepConfig, *, cache: VerdictCache | None = None) -> Swee
 
     workers = min(config.jobs, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_evaluate_pair, (args for _, args in tasks)))
     else:

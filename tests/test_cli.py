@@ -516,29 +516,68 @@ def test_verify_theorem_drops_groups_too_large_for_any_pair():
 
 def _fake_pool(monkeypatch) -> list[int]:
     """Make the sweep record each requested worker count and raise,
-    instead of forking workers."""
+    instead of forking workers.  The sweep imports the pool from
+    ``concurrent.futures`` when it first needs one, so that is the name
+    patched."""
+    import concurrent.futures
+
     requested = []
 
     def pool(max_workers):
         requested.append(max_workers)
         raise RuntimeError("no process pool in tests")
 
-    monkeypatch.setattr(ringlab.sweep, "ProcessPoolExecutor", pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
     return requested
 
 
 def test_verify_theorem_rejects_more_jobs_than_cpus(capsys, monkeypatch):
-    import os
-
     requested = _fake_pool(monkeypatch)
-    jobs = str((os.cpu_count() or 1) + 1)
+    jobs = str(ringlab.sweep.usable_cpus() + 1)
     code, _, err = run_cli(capsys, *TINY_SWEEP, "--no-cache", "--jobs", jobs)
     assert code == EXIT_USAGE and "jobs" in err
     assert requested == []
 
 
-def test_sweep_starts_no_more_workers_than_pairs(monkeypatch):
+def test_jobs_are_capped_by_the_affinity_mask_not_the_host(monkeypatch):
+    # a cpuset or taskset may leave this process fewer CPUs than the host has
     monkeypatch.setattr(ringlab.sweep.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(ringlab.sweep.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    requested = _fake_pool(monkeypatch)
+    assert ringlab.sweep.usable_cpus() == 1
+    with pytest.raises(ValueError, match="jobs must be <= 1"):
+        run_sweep(SweepConfig(max_ring_order=3, max_product_order=3, max_group_order=1, jobs=2))
+    assert requested == []
+
+
+def test_usable_cpus_falls_back_to_the_host_count(monkeypatch):
+    monkeypatch.delattr(ringlab.sweep.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(ringlab.sweep.os, "cpu_count", lambda: 3)
+    assert ringlab.sweep.usable_cpus() == 3
+    monkeypatch.setattr(ringlab.sweep.os, "cpu_count", lambda: None)
+    assert ringlab.sweep.usable_cpus() == 1
+
+
+def test_starting_ringlab_loads_no_process_pool():
+    done = util.run_python("-c", (
+        "import sys, ringlab, ringlab.sweep, ringlab.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules))"
+    ), timeout=30)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_verify_theorem_defaults_are_the_sweep_config_defaults():
+    import dataclasses
+
+    args = ringlab.cli._build_parser().parse_args(["verify-theorem"])
+    defaults = SweepConfig()
+    for f in dataclasses.fields(SweepConfig):
+        assert getattr(args, f.name) == getattr(defaults, f.name), f.name
+
+
+def test_sweep_starts_no_more_workers_than_pairs(monkeypatch):
+    monkeypatch.setattr(ringlab.sweep, "usable_cpus", lambda: 64)
     requested = _fake_pool(monkeypatch)
     config = SweepConfig(max_ring_order=3, max_product_order=3, max_group_order=1, jobs=64)
     with pytest.raises(RuntimeError, match="no process pool"):
@@ -592,7 +631,7 @@ def test_ring_catalog_is_bounded_by_the_group_ring_order():
 
 
 def test_sweep_parallel_matches_serial(monkeypatch):
-    monkeypatch.setattr(ringlab.sweep.os, "cpu_count", lambda: 2)  # jobs=2 on any host
+    monkeypatch.setattr(ringlab.sweep, "usable_cpus", lambda: 2)  # jobs=2 on any host
     serial = run_sweep(SweepConfig(max_ring_order=3, max_product_order=4, max_group_order=2, max_groupring_order=64))
     parallel = run_sweep(
         SweepConfig(max_ring_order=3, max_product_order=4, max_group_order=2, max_groupring_order=64, jobs=2)
