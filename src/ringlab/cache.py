@@ -5,7 +5,10 @@ sweep verdicts (:func:`is_sweep_verdict`).  Entries written by a
 different tool version are treated as misses; corrupt lines, and
 current-version lines whose value is not a sweep verdict, are skipped
 with a warning, never an error.  There is a single
-writer per file (the sweep driver), so appends need no locking.
+writer per file (the sweep driver), so appends need no locking.  A
+:meth:`VerdictCache.batch` block holds the lines put inside it and
+appends them in one write, the bytes that one append per put would
+have written.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -48,6 +52,7 @@ class VerdictCache:
         self.path = Path(path)
         self.version = version
         self._entries: dict[str, object] = {}
+        self._pending: list[str] | None = None  # lines held by an open batch
         self._load()
 
     def _load(self) -> None:
@@ -78,8 +83,27 @@ class VerdictCache:
     def put(self, key: str, value) -> None:
         self._entries[key] = value
         record = {"key": key, "version": self.version, "value": value}
+        line = json.dumps(record, sort_keys=True) + "\n"
+        if self._pending is None:
+            self._append([line])
+        else:
+            self._pending.append(line)
+
+    @contextmanager
+    def batch(self):
+        """Hold the lines of every :meth:`put` in the block, and append
+        them in one write when it ends, also if it raises."""
+        self._pending = []
+        try:
+            yield self
+        finally:
+            lines, self._pending = self._pending, None
+            if lines:
+                self._append(lines)
+
+    def _append(self, lines: list[str]) -> None:
         with self.path.open("a") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            fh.write("".join(lines))
 
     def __len__(self) -> int:
         return len(self._entries)

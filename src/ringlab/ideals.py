@@ -1,9 +1,12 @@
 """Ideals, quotients and radicals of table rings.
 
-The whole module is brute force by design: principal ideals are columns
+The whole module is brute force by design: principal ideals are rows
 of the multiplication table, and every ideal is a sum of principal
 ones, built one summand at a time by a single walk that serves both
 :func:`ideal_generated` and the minimal generators naming a quotient.
+A validated :class:`IdealSet` is checked from a few additive generators
+of it, one row of ``add`` and of ``mul`` each, on the ring axioms (see
+:func:`_check_ideal`).
 :func:`quotient_ring` is the one quotient constructor.  It returns the
 table ring R/I, whose cosets are indexed in the order of their least
 members; it builds no projection object.  Maximal ideals are not read off
@@ -102,27 +105,62 @@ class IdealSet:
 def _check_ideal(ring: RingTable, members: np.ndarray) -> None:
     """Raise ``ValueError`` unless ``members`` is an ideal.
 
-    Closure under ambient multiplication reads the members' own rows of
-    ``mul`` (every i r), so it reads |I| contiguous rows rather than |I|
-    scattered entries of every row; on a commutative table these are
-    the products r i.  Both closure checks go one row block at a time,
-    so their temporaries stay small however large the ideal.
+    The members I are accepted iff 0 is in I and, for each g of a set
+    of additive generators (:func:`_additive_generators`), I + g and
+    g R lie in I.  Then I holds every sum of generators, so I is their
+    additive span, a subgroup, and every product of a sum of generators
+    with r lies in I by distributivity.  Each g reads row g of ``add``
+    at the members and row g of ``mul``, O((|I| + n) rank) reads in all,
+    where a full check reads |I|^2 sums and n |I| products.  The proof
+    assumes an associative ``add`` and a distributive ``mul``, which
+    :class:`RingTable` does not check; the full check is kept as a test
+    oracle.
     """
     member = np.zeros(ring.order, dtype=bool)
     member[members] = True
     if not member[ring.zero]:
         raise ValueError("ideal must contain zero")
-    for rows in _row_blocks(members.size, members.size):
-        if not _gather(ring.add, members[rows], members, through=member).all():
+    for g in _additive_generators(ring, members):
+        if not member[ring.add[g].take(members)].all():
             raise ValueError("set is not closed under addition")
-    for rows in _row_blocks(members.size, ring.order):
-        if not member[ring.mul.take(members[rows], axis=0)].all():
+        if not member[ring.mul[g]].all():
             raise ValueError("set is not closed under ambient multiplication")
 
 
+def _additive_generators(ring: RingTable, members: np.ndarray) -> list[int]:
+    """A set of additive generators whose span covers ``members``, picked
+    greedily: the least member outside the span so far joins it.
+
+    Adding g to a span S walks the cosets S + kg: the multiples kg are
+    walked until one falls in S, and the entries of their rows of
+    ``add`` at S, taken by flat index rather than whole rows, give the
+    cosets, |S + <g>| reads.  Every walked element is marked, so the walk
+    ends on any table.
+    """
+    covered = np.zeros(ring.order, dtype=bool)
+    covered[ring.zero] = True
+    span = np.array([ring.zero], dtype=ring.add.dtype)
+    gens: list[int] = []
+    while True:
+        rest = members[~covered[members]]
+        if rest.size == 0:
+            return gens
+        g = int(rest[0])
+        gens.append(g)
+        multiples = []
+        k = g
+        while not covered[k]:
+            covered[k] = True
+            multiples.append(k)
+            k = int(ring.add[k, g])
+        cosets = ring.add.take((np.array(multiples) * ring.order)[:, None] + span)
+        span = np.concatenate([span, cosets.ravel()])
+        covered[span] = True
+
+
 def _principal(ring: RingTable, x: int) -> np.ndarray:
-    """Sorted members of the principal ideal Rx, a column of ``mul``."""
-    return np.unique(ring.mul[:, x]).astype(np.int64)
+    """Sorted members of the principal ideal Rx, row x of ``mul``."""
+    return np.unique(ring.mul[x]).astype(np.int64)
 
 
 def _ideal_sum(ring: RingTable, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -285,14 +323,17 @@ def maximal_ideals(ring: RingTable) -> tuple[IdealSet, ...]:
     Re_i}, one for each e_i.  The element xe_i + (1 - e_i) has xe_i in
     place i and 1 in every other place, so M_i is exactly the x for
     which it is not a unit.  Only units and idempotents are used, never
-    the nilpotents, so J stays independent of N.  A local ring, a field
-    included, has e_1 = 1 and its non-units as its maximal ideal.
+    the nilpotents, and the units come from a power map of their own
+    (:func:`ringlab.rings.element_classes`), so J stays independent of
+    N.  Each M_i reads row e_i of ``mul`` and one gather of ``add``.  A
+    local ring, a field included, has e_1 = 1 and its non-units as its
+    maximal ideal.
     """
     classes = element_classes(ring)
     found = []
     for e in _primitive_idempotents(ring, np.flatnonzero(classes.idempotents)):
         rest = ring.add[ring.one, ring.neg[e]]  # 1 - e
-        found.append(np.flatnonzero(~classes.units[ring.add[ring.mul[:, e], rest]]))
+        found.append(np.flatnonzero(~classes.units[ring.add[ring.mul[e], rest]]))
     return _in_canonical_order(ring, found)
 
 

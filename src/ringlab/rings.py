@@ -10,11 +10,15 @@ strings that re-parse through the expression grammar in
 Tables are numpy integer arrays made read-only after construction, so
 instances are immutable and safe to share between threads.  Every
 read of a sub-table (the rows and columns at two index lists) goes
-through the private :func:`_gather`, one row block at a time.  Each
+through the private :func:`_gather`, one row block at a time; only the
+ideal check's coset walk, which needs a few entries of a few rows, takes
+them by flat index.  Each
 constructor in the package hands :class:`RingTable` the additive
 inverses it already holds (``neg``), which one O(n) gather checks, so
 only a table built outside the package has them derived by an n x n
-scan of ``add``.
+scan of ``add``.  After the build, the units are found on the rows of
+``mul`` at a power map's distinct values, on the ring axioms (see
+:func:`element_classes`).
 
 Facts derived from the tables (element classes, the ideal lattice,
 minimal and maximal ideals, the radicals, residue orders, the shapes of
@@ -300,26 +304,60 @@ def _nilpotent_mask(r: RingTable) -> np.ndarray:
     That is every nilpotent: if x^m = 0, the chain Rx, Rx^2, ... at least
     halves at each step until it reaches 0, so m <= log2(order) + 1 <= 2^k.
     Each power is tested, x itself included, so a corrupted table whose 0
-    squares to nonzero still marks 0.
+    squares to nonzero still marks 0.  Each squaring is a 1-D gather from
+    the diagonal of ``mul``, not n scattered reads of the whole table.
     """
+    square = r.mul.diagonal()
     cur = np.arange(r.order)
     nil = cur == r.zero
     # the criteria read this tower; the definitional scan forms its own x^(2^K), so they share no code
     for _ in range(r.order.bit_length()):
-        cur = r.mul[cur, cur]
+        cur = square[cur]
         nil |= cur == r.zero
     return nil
 
 
+def _unit_power(r: RingTable) -> np.ndarray:
+    """x^M for every x, with M = 6^K the least power of 6 that is at least the order.
+
+    x is a unit iff x^M is: powers of a unit are units, and if x^M u = 1
+    then x^(M-1) u is an inverse of x.  M >= order sends every nilpotent
+    to 0, and a unit whose order divides 6^K to 1, so the powers take few
+    distinct values (8 on GR(Z9, C4)).  The map is formed by its own x^2,
+    x^3 and x^6 steps, not by :func:`_nilpotent_mask`'s squaring tower,
+    so the units (and with them the maximal ideals and J) share no code
+    with the nilpotents (and N).
+    """
+    square = r.mul.diagonal()
+    power = np.arange(r.order)
+    m = 1
+    while m < r.order:
+        power = square[r.mul[square[power], power]]  # (x^2 x)^2
+        m *= 6
+    return power
+
+
 @_memo
 def element_classes(r: RingTable) -> ElementClasses:
-    """Scan the tables for nilpotents, idempotents and units."""
+    """Scan the tables for nilpotents, idempotents and units.
+
+    x is a unit iff row x^M of ``mul`` holds 1 (see :func:`_unit_power`),
+    so only the rows of the distinct powers are read: 8 of the 6561 rows
+    of GR(Z9, C4).  Units of an order prime to 6 keep more of them, up
+    to about half the rows of Z_p for p = 2q + 1 with q prime.  That
+    equivalence assumes an associative ``mul``, which :class:`RingTable`
+    does not check; the every-row scan is kept as a test oracle.
+    """
     n = r.order
     nil = _nilpotent_mask(r)
     idem = r.mul.diagonal() == np.arange(n)
-    units = np.empty(n, dtype=bool)
-    for rows in _row_blocks(n, n):
-        units[rows] = (r.mul[rows] == r.one).any(axis=1)
+    power = _unit_power(r)
+    unit_row = np.zeros(n, dtype=bool)
+    unit_row[power] = True
+    rows = np.flatnonzero(unit_row)  # the distinct powers, each row overwritten below
+    for b in _row_blocks(rows.size, n):
+        unit_row[rows[b]] = (r.mul.take(rows[b], axis=0) == r.one).any(axis=1)
+    units = unit_row[power]
     # sanity on any valid ring; failures indicate a corrupted table
     facts = {
         "0 is nilpotent": nil[r.zero],

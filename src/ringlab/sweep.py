@@ -10,7 +10,10 @@ fields.
 
 With ``jobs > 1`` the pairs run in a process pool.  The pool is imported
 on first use, so a serial sweep and every other command start without
-loading ``multiprocessing``.
+loading ``multiprocessing``.  A worker that dies, as one the kernel
+kills for running out of memory does, ends the sweep with
+:class:`~ringlab.rings.CapExceeded`.  The new verdicts go to the cache
+in one append once every pair is done.
 """
 
 from __future__ import annotations
@@ -187,18 +190,25 @@ def run_sweep(config: SweepConfig, *, cache: VerdictCache | None = None) -> Swee
     workers = min(config.jobs, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_evaluate_pair, (args for _, args in tasks)))
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_evaluate_pair, (args for _, args in tasks)))
+        except BrokenProcessPool:
+            # a worker's group ring allocates lazily, so running out of memory kills it, not raises
+            raise CapExceeded("a sweep worker process died, most likely killed for running out of memory; "
+                              "lower --jobs or --max-groupring-order") from None
     else:
         results = [_evaluate_pair(args) for _, args in tasks]
         _base_ring.cache_clear()  # free the last base ring's tables
 
-    records = []
-    for (key, args), (verdicts, record) in zip(tasks, results):
-        if cache is not None and args[3] is None:
-            cache.put(key, verdicts)
-        records.append(record)
+    if cache is not None:
+        with cache.batch():  # one append for every new verdict
+            for (key, args), (verdicts, _) in zip(tasks, results):
+                if args[3] is None:
+                    cache.put(key, verdicts)
+    records = [record for _, record in results]
 
     records.sort(key=lambda r: (r["order"], r["ring"], r["group"]))
     disagreements = [r for r in records if not (r["agreement"] and r["lemma_agreement"])]

@@ -1,6 +1,8 @@
 """Verdict cache: round trips, version invalidation, corruption tolerance."""
 
+import contextlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -121,3 +123,41 @@ def test_run_sweep_ignores_wrongly_shaped_line(tmp_path):
     with pytest.warns(UserWarning, match="corrupt cache line 1"):
         reloaded = VerdictCache(path)
     assert reloaded.get("GR(Z2, 1)") == YES  # the sweep appended a good line
+
+
+def test_run_sweep_appends_new_verdicts_in_one_write(tmp_path, monkeypatch):
+    config = SweepConfig(max_ring_order=4, max_product_order=4, max_group_order=2, max_groupring_order=16)
+    batched = VerdictCache(tmp_path / "batched.jsonl")
+    opened = []
+    real_open = Path.open
+
+    def counting_open(self, *args, **kwargs):
+        opened.append(self.name)
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    report = run_sweep(config, cache=batched)
+    assert opened == ["batched.jsonl"] and len(report.records) > 1
+    monkeypatch.undo()
+    warm = VerdictCache(batched.path)
+    monkeypatch.setattr(Path, "open", counting_open)
+    run_sweep(config, cache=warm)  # every verdict a hit: nothing to append
+    assert opened == ["batched.jsonl"]
+    monkeypatch.undo()
+    # the same bytes as one append per put, with batching switched off
+    monkeypatch.setattr(VerdictCache, "batch", lambda self: contextlib.nullcontext())
+    one_by_one = VerdictCache(tmp_path / "one_by_one.jsonl")
+    run_sweep(config, cache=one_by_one)
+    assert batched.path.read_bytes() == one_by_one.path.read_bytes()
+
+
+def test_batch_writes_what_was_put_when_the_block_raises(tmp_path):
+    cache = VerdictCache(tmp_path / "c.jsonl")
+    with pytest.raises(RuntimeError):
+        with cache.batch():
+            cache.put("a", YES)
+            assert not cache.path.exists()
+            raise RuntimeError("stop")
+    assert VerdictCache(cache.path).get("a") == YES
+    cache.put("b", NO)  # outside a batch, each put appends at once
+    assert VerdictCache(cache.path).get("b") == NO

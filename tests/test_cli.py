@@ -643,6 +643,30 @@ def test_sweep_parallel_matches_serial(monkeypatch):
     assert strip(serial.records) == strip(parallel.records)
 
 
+def test_dead_worker_exits_2_naming_memory_without_traceback():
+    # one of two workers SIGKILLs itself, as the kernel's OOM killer would;
+    # the patched worker body reaches the pool's workers by fork
+    code = (
+        "import os, signal, sys\n"
+        "import ringlab.sweep as sweep\n"
+        "from ringlab.cli import main\n"
+        "evaluate = sweep._evaluate_pair\n"
+        "def dying(args):\n"
+        "    if args[1] == (4,):\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "    return evaluate(args)\n"
+        "sweep._evaluate_pair = dying\n"
+        "sweep.usable_cpus = lambda: 2\n"
+        "sys.exit(main(['verify-theorem', '--no-cache', '--jobs', '2', '--max-ring-order', '3',\n"
+        "               '--max-product-order', '3', '--max-group-order', '4', '--max-groupring-order', '64']))\n"
+    )
+    done = util.run_python("-c", code, timeout=60)
+    assert done.returncode == EXIT_CAP, done.stderr
+    assert "Traceback" not in done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and "out of memory" in lines[0], done.stderr
+
+
 def test_python_dash_m_ringlab_runs_the_cli():
     done = util.run_python("-m", "ringlab", "--version", timeout=30)
     assert done.returncode == EXIT_OK

@@ -12,6 +12,7 @@ from ringlab import (
     CapExceeded,
     DisagreementError,
     IdealSet,
+    RingTable,
     direct_product,
     element_classes,
     enumerate_ideals,
@@ -28,7 +29,7 @@ from ringlab import (
     parse_ring_expr,
     quotient_ring,
 )
-from ringlab import ideals
+from ringlab import ideals, rings
 from ringlab.expr import evaluate
 from ringlab.ideals import minimal_generators
 
@@ -371,6 +372,81 @@ def test_ideal_check_matches_column_reads_on_random_subsets(plain_ring_catalog, 
     picked = data.draw(st.lists(st.integers(0, ring.order - 1), min_size=1, max_size=4))
     members = _additive_span(ring, picked) if data.draw(st.booleans()) else np.unique(picked)
     assert _ideal_check_accepts(ring, members) == util.is_ideal_by_columns(ring, members), (ring.label, members)
+
+
+def _with_and_without_a_member(ring, members):
+    """``members``, then less its largest member, then with the least
+    non-member added (when there is one)."""
+    out = [members, members[:-1]]
+    outside = np.setdiff1d(np.arange(ring.order), members)
+    if outside.size:
+        out.append(np.union1d(members, outside[:1]))
+    return out
+
+
+def test_ideal_check_matches_full_scan_on_group_rings(sweep_group_rings):
+    checked_rings = [view.ring for view in sweep_group_rings]
+    for label in ("GR(Z2, C3)/(7)", "(GR(Z2, C3)/(7)) x Z4", "GR(Z9, C3)/(33,97)", "GR(Z3, C3) x Z4"):
+        checked_rings.append(evaluate(parse_ring_expr(label)))
+    checked = 0
+    for ring in checked_rings:
+        for ideal in (nilradical(ring), jacobson_radical(ring), *maximal_ideals(ring), *minimal_ideals(ring)):
+            for members in _with_and_without_a_member(ring, ideal.members):
+                want = util.is_ideal_by_columns(ring, members)
+                assert _ideal_check_accepts(ring, members) == want, (ring.label, ideal, members.size)
+                checked += 1
+    assert checked > 1000
+
+
+def test_ideal_check_matches_full_scan_on_the_radicals_of_gr_z9_c4():
+    ring = evaluate(parse_ring_expr("GR(Z9, C4)"), order_cap=6561)
+    for ideal in (nilradical(ring), jacobson_radical(ring)):
+        sets = _with_and_without_a_member(ring, ideal.members)
+        verdicts = [_ideal_check_accepts(ring, m) for m in sets]
+        assert verdicts == [util.is_ideal_by_columns(ring, m) for m in sets] == [True, False, False], ideal
+
+
+def test_non_distributive_table_shows_what_each_check_catches():
+    # Z8 with 3 * 4 = 4 * 3 = 1: both tables stay commutative, but * no
+    # longer distributes, and RingTable checks neither axiom
+    z8 = make_zmod(8)
+    mul = np.array(z8.mul)
+    mul[3, 4] = mul[4, 3] = 1
+    ring = RingTable(z8.add, mul, zero=0, one=1, label="Z8broken")
+    assert {"distributivity", "associativity of *"} <= {axiom for axiom, _ in util.axiom_violations(ring)}
+    # the row scan takes the nilpotent 4 for a unit, a fault element_classes
+    # would report; 4^6 = 0, so the power map does not see it
+    classes = element_classes(ring)
+    assert util.indices(util.units_by_scan(ring)) == {1, 3, 4, 5, 7}
+    assert util.indices(classes.units) == {1, 3, 5, 7} and classes.nilpotents[4]
+    # (2) = {0, 2, 4, 6} is generated by 2, whose rows are intact, so only
+    # the full scan sees 4 * 3 = 1 fall outside it
+    even = np.array([0, 2, 4, 6])
+    assert ideals._additive_generators(ring, even) == [2]
+    assert not util.is_ideal_by_columns(ring, even)
+    assert _ideal_check_accepts(ring, even)
+    # in (4) = {0, 4} the broken row is the generator's, and both reject it
+    assert not util.is_ideal_by_columns(ring, [0, 4])
+    with pytest.raises(ValueError, match="not closed under ambient multiplication"):
+        IdealSet(ring, [0, 4])
+
+
+def test_units_and_nilpotents_feed_disjoint_ideals(monkeypatch):
+    # J is read off the units and idempotents, N off the nilpotency tower,
+    # so a fault in either leaves the other radical as it was
+    honest, no_nil, no_units = (group_ring(make_zmod(9), make_group([2])).ring for _ in range(3))
+    want_max, want_j, want_n = maximal_ideals(honest), jacobson_radical(honest), nilradical(honest)
+    assert len(want_n) == 9 and len(want_max) == 2
+
+    monkeypatch.setattr(rings, "_nilpotent_mask", lambda r: np.arange(r.order) == r.zero)
+    assert nilradical(no_nil).is_zero  # the fault reached N
+    assert maximal_ideals(no_nil) == want_max and jacobson_radical(no_nil) == want_j
+    monkeypatch.undo()
+
+    monkeypatch.setattr(rings, "_unit_power", lambda r: np.where(np.arange(r.order) == r.one, r.one, r.zero))
+    assert util.indices(element_classes(no_units).units) == {no_units.one}  # the fault reached the units
+    assert maximal_ideals(no_units) != want_max
+    assert nilradical(no_units) == want_n
 
 
 def test_is_prime_ideal_examples():

@@ -227,26 +227,42 @@ def test_element_classes_rejects_corrupted_table():
         element_classes(broken)
 
 
-@pytest.mark.parametrize("corrupt, error", [
-    ("mul[0, 0] = 1", "DisagreementError"),
-    ("add[1] = [1, 2, 3, 1]", "ValueError"),  # row 1 has no zero
-], ids=["corrupted-mul", "add-row-without-zero"])
-def test_element_classes_check_survives_optimize_flag(corrupt, error):
-    # the same corrupted tables under ``python -O``, which strips asserts
+_CLASSES_OF_Z4 = "element_classes(RingTable(add, mul, zero=0, one=1, label='Z4broken'))"
+
+
+@pytest.mark.parametrize("corrupt, call, error", [
+    ("mul[0, 0] = 1", _CLASSES_OF_Z4, "DisagreementError"),
+    ("add[1] = [1, 2, 3, 1]", _CLASSES_OF_Z4, "ValueError"),  # row 1 has no zero
+    ("pass", "IdealSet(z4, [0, 1])", "ValueError"),  # 1 + 1 = 2 is missing
+    ("pass", "IdealSet(direct_product(make_zmod(2), make_zmod(2)), [0, 3])", "ValueError"),  # (1,0)(1,1) missing
+], ids=["corrupted-mul", "add-row-without-zero", "non-ideal-sum", "non-ideal-product"])
+def test_element_classes_check_survives_optimize_flag(corrupt, call, error):
+    # the same corrupted tables and non-ideal sets under ``python -O``,
+    # which strips asserts
     code = (
         "import numpy as np\n"
-        "from ringlab import DisagreementError, RingTable, element_classes, make_zmod\n"
+        "from ringlab import DisagreementError, IdealSet, RingTable, direct_product, element_classes, make_zmod\n"
         "z4 = make_zmod(4)\n"
         "add, mul = np.array(z4.add), np.array(z4.mul)\n"
         f"{corrupt}\n"
         "try:\n"
-        "    element_classes(RingTable(add, mul, zero=0, one=1, label='Z4broken'))\n"
+        f"    {call}\n"
         "except (DisagreementError, ValueError) as e:\n"
         "    print(type(e).__name__)\n"
     )
     done = util.run_python("-O", "-c", code, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == error
+
+
+def test_units_match_row_scan(plain_ring_catalog, sweep_group_rings):
+    checked = list(plain_ring_catalog) + [view.ring for view in sweep_group_rings]
+    for label in ("GR(Z2, C3)/(7)", "(GR(Z2, C3)/(7)) x Z4", "GR(Z9, C3)/(33,97)", "GR(Z9, C4)"):
+        checked.append(evaluate(parse_ring_expr(label), order_cap=6561))
+    for ring in checked:
+        assert np.array_equal(element_classes(ring).units, util.units_by_scan(ring)), ring.label
+    # the package reads only the rows of the power map's values: 8 of 6561 on GR(Z9, C4)
+    assert np.unique(rings._unit_power(checked[-1])).size == 8
 
 
 def test_package_has_no_assert_statements():

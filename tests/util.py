@@ -2,14 +2,17 @@
 
 The oracles are computed with plain integer arithmetic (or frozen
 from well-known tables), deliberately avoiding the table machinery
-under test.  The exceptions are seven table-level searches that share
+under test.  The exceptions are eight table-level searches that share
 no code with the package: :func:`axiom_violations`, an exhaustive numpy
 scan of the raw tables, :func:`peirce_shape`, a search over them,
 :func:`ring_isomorphic`, a backtracking isomorphism search,
 :func:`minimal_ideals_by_rank`, an annihilator-size rule on them,
 :func:`clean_verdicts_by_element_scan`, an N + E and N - E scan of them,
-:func:`neg_by_scan`, the additive inverses read off ``add``, and
-:func:`is_ideal_by_columns`, an ideal test that reads ``mul`` by columns.
+:func:`neg_by_scan`, the additive inverses read off ``add``,
+:func:`units_by_scan`, the units read off every row of ``mul``, and
+:func:`is_ideal_by_columns`, an ideal test on every sum and product.
+The last two are the full scans that the package's row reads, which
+assume the ring axioms, replaced.
 :func:`neat_verdicts_by_quotients` is the other kind: it builds each
 minimal quotient with the package and scans it with that element scan,
 to check the package's coset scan.
@@ -296,10 +299,19 @@ def neg_by_scan(ring) -> np.ndarray:
     return (add == ring.zero).argmax(axis=1).astype(add.dtype)
 
 
+def units_by_scan(ring) -> np.ndarray:
+    """Boolean mask of the units: the x whose row of ``mul`` holds one.
+
+    This needs no axiom beyond the table itself, where the package reads
+    only the rows of a power map's values."""
+    return (np.asarray(ring.mul) == ring.one).any(axis=1)
+
+
 def is_ideal_by_columns(ring, members) -> bool:
     """Whether ``members`` holds zero and is closed under + and under
     ambient *, the products r i read from the members' columns of every
-    row of ``mul``."""
+    row of ``mul``: all |I|^2 sums and n |I| products, with no appeal to
+    associativity or distributivity."""
     members = np.unique(np.asarray(members, dtype=np.int64))
     member = np.zeros(ring.order, dtype=bool)
     member[members] = True
