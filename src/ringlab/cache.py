@@ -5,7 +5,7 @@ sweep verdicts (:func:`is_sweep_verdict`).  Entries written by a
 different tool version are treated as misses; corrupt lines, and
 current-version lines whose value is not a sweep verdict, are skipped
 with a warning, never an error.  There is a single
-writer per file (the sweep driver), so appends need no locking.  A
+writer per file (the sweep), so appends need no locking.  A
 :meth:`VerdictCache.batch` block holds the lines put inside it and
 appends them in one write, the bytes that one append per put would
 have written.
