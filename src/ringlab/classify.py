@@ -33,7 +33,16 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .group_algebra import AbelianGroup
-from .ideals import IdealSet, _coset_map, is_field, jacobson_radical, maximal_ideals, minimal_ideals, nilradical
+from .ideals import (
+    IdealSet,
+    _coset_map,
+    _high_power,
+    is_field,
+    jacobson_radical,
+    maximal_ideals,
+    minimal_ideals,
+    nilradical,
+)
 from .rings import DisagreementError, RingTable, _gather, _memo, element_classes
 
 
@@ -85,11 +94,8 @@ def _definitional_verdicts(ring: RingTable) -> tuple[Verdict, Verdict, Verdict, 
     """
     # its own maps: element_classes' nilpotency tower and _shape_mod's x^2 - x
     # count feed the structural criteria, and the two derivations share no code
-    square = ring.mul.diagonal()
-    high = np.arange(ring.order)
-    for _ in range(ring.order.bit_length()):
-        high = square[high]
-    sq_minus = ring.add[square, ring.neg]
+    high = _high_power(ring)
+    sq_minus = ring.add[ring.mul.diagonal(), ring.neg]
     zero = IdealSet(ring, [ring.zero], validate=False)
     clean = tuple(Verdict(w is None, w) for w in _clean_mod(ring, zero, high, sq_minus))
     nil_neat = fine = Verdict(True)

@@ -15,8 +15,10 @@ the local rings Re over its primitive idempotents e, so each maximal
 ideal is read off one primitive idempotent and the units (see
 :func:`maximal_ideals`), and the Jacobson radical is a literal
 intersection of those maximal ideals.  Minimal ideals are principal,
-Rx, and are found by a walk over the classes of equal |Ann(x)|, also
-without the lattice.
+Rx, lie in the socle Ann(N), and are found by a walk over the socle's
+classes of equal |Ann(x)|, also without the lattice; when N is nonzero
+the walk reads rows of ``mul`` only at the socle and at additive
+generators of N.
 The lattice, these ideals and both radicals are memoized on the ring
 as the :class:`IdealSet` objects callers receive (see
 :mod:`ringlab.rings`).  Everything is deterministic; ideal tuples are
@@ -338,23 +340,57 @@ def maximal_ideals(ring: RingTable) -> tuple[IdealSet, ...]:
 
 
 @_memo
+def _high_power(ring: RingTable) -> np.ndarray:
+    """x^(2^K) for every x, K the bit length of the order: 0 exactly on
+    the nilpotents.
+
+    The definitional side's own tower, read by the definitional scans
+    and by :func:`minimal_ideals`.  The criteria read the nilpotents of
+    :func:`ringlab.rings.element_classes`, formed by a tower of their
+    own, so the two derivations share no code.
+    """
+    square = ring.mul.diagonal()
+    high = np.arange(ring.order)
+    for _ in range(ring.order.bit_length()):
+        high = square[high]
+    high.setflags(write=False)
+    return high
+
+
+@_memo
 def minimal_ideals(ring: RingTable) -> tuple[IdealSet, ...]:
     """All minimal nonzero ideals, in canonical order; a field has only R.
 
-    A minimal ideal is some Rx, and Rx is R/Ann(x) as a group, so the
-    nonzero x are visited in classes of equal |Ann(x)|, largest first:
-    |Rx| ascending.  Rx is minimal unless x lies in a minimal ideal
-    already found or divides one of their generators g (g occurs in row
-    x of ``mul``): a non-minimal Rx properly contains a minimal Rg with
-    |Rg| < |Rx|, found in an earlier class, and g lies in Rx.  The
-    units, where Rx = R, are visited only in a field.
+    A minimal ideal M lies in the socle Ann(N): NM is an ideal inside M,
+    and not M itself, since N is nilpotent, so NM = 0.  The socle is
+    read off one row of ``mul`` for each additive generator of N (taken
+    from :func:`_high_power`), and every later read is a row of ``mul``
+    at a socle member.  A minimal ideal is some Rx, and Rx is R/Ann(x)
+    as a group, so the nonzero x of the socle are visited in classes of
+    equal |Ann(x)|, largest first: |Rx| ascending.  Rx is minimal unless
+    x lies in a minimal ideal already found or divides one of their
+    generators g (g occurs in row x of ``mul``): a non-minimal Rx
+    properly contains a minimal Rg with |Rg| < |Rx|, found in an earlier
+    class, and g lies in Rx.  The units, where Rx = R, are in the socle
+    only when N = 0, and are visited only in a field.
     """
     n = ring.order
-    ann = np.empty(n, dtype=ring.mul.dtype)  # |Ann(x)|, at most n
-    for rows in _row_blocks(n, n):
-        ann[rows] = (ring.mul[rows] == ring.zero).sum(axis=1, dtype=ann.dtype)
-    decided = np.zeros(n, dtype=bool)  # zero, in a minimal ideal found, or a divisor of a generator
+    ann = np.zeros(n, dtype=ring.mul.dtype)  # |Ann(x)|, at most n, on the socle
+    # zero, outside the socle, in a minimal ideal found, or a divisor of a generator
+    decided = np.zeros(n, dtype=bool)
     decided[ring.zero] = True
+    nilpotents = np.flatnonzero(_high_power(ring) == ring.zero)
+    if nilpotents.size == 1:  # N = 0: the socle is R, read in contiguous row blocks with no copy
+        for rows in _row_blocks(n, n):
+            ann[rows] = (ring.mul[rows] == ring.zero).sum(axis=1, dtype=ann.dtype)
+    else:
+        in_socle = np.ones(n, dtype=bool)
+        for g in _additive_generators(ring, nilpotents):
+            in_socle &= ring.mul[g] == ring.zero
+        decided |= ~in_socle
+        socle = np.flatnonzero(in_socle)
+        for rows in _row_blocks(socle.size, n):
+            ann[socle[rows]] = (ring.mul.take(socle[rows], axis=0) == ring.zero).sum(axis=1, dtype=ann.dtype)
     found = []
     for size in np.unique(ann[~decided])[::-1]:
         if size == 1 and found:

@@ -62,7 +62,7 @@ class DisagreementError(RingLabError):
 
 
 def _table_dtype(order: int) -> np.dtype:
-    return np.dtype(np.int16 if order <= np.iinfo(np.int16).max else np.int32)
+    return np.dtype(np.int16 if order <= 32767 else np.int32)  # 32767 is np.iinfo(np.int16).max
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -310,7 +310,8 @@ def _nilpotent_mask(r: RingTable) -> np.ndarray:
     square = r.mul.diagonal()
     cur = np.arange(r.order)
     nil = cur == r.zero
-    # the criteria read this tower; the definitional scan forms its own x^(2^K), so they share no code
+    # the criteria and N read this tower; the definitional scans and the minimal ideals
+    # read their own x^(2^K) (ideals._high_power), so the two derivations share no code
     for _ in range(r.order.bit_length()):
         cur = square[cur]
         nil |= cur == r.zero

@@ -8,6 +8,12 @@ two sides agree.  Records are sorted by (|RG|, ring label, group label)
 so reports are byte-stable; wall times are the only nondeterministic
 fields.
 
+The pairs of one base ring run one after another, so a run builds each
+catalog object once: the base ring, kept while its pairs run, each
+factor of a product base ring, kept while the products sharing it run,
+and each group.  These run-scoped memos are emptied when
+:func:`run_sweep` returns.
+
 With ``jobs > 1`` the pairs run in a process pool.  The pool is imported
 on first use, so a serial sweep and every other command start without
 loading ``multiprocessing``.  A worker that dies, as one the kernel
@@ -28,7 +34,7 @@ from .cache import VerdictCache
 from .classify import is_weakly_nil_clean_definitional, is_weakly_nil_neat_definitional
 from .expr import ProductExpr, RingExpr, ZmodExpr, canonical_label, evaluate
 from .group_algebra import AbelianGroup, group_ring, make_group
-from .rings import DEFAULT_ORDER_CAP, CapExceeded
+from .rings import DEFAULT_ORDER_CAP, CapExceeded, direct_product
 
 
 @dataclass
@@ -99,8 +105,27 @@ def group_catalog(max_order: int) -> list[AbelianGroup]:
 @lru_cache(maxsize=1)
 def _base_ring(expr: RingExpr, order_cap: int):
     """The evaluated base ring, kept while the sweep runs through its
-    groups, so that its memoized facts are derived once per ring."""
+    groups, so that its memoized facts are derived once per ring.
+
+    A product Z_a x Z_b is built by :func:`direct_product` from factor
+    rings kept in :func:`_factor_ring`, so the run of products with a
+    common Z_a evaluates each factor once, not once per product."""
+    if isinstance(expr, ProductExpr):
+        return direct_product(_factor_ring(expr.left, order_cap), _factor_ring(expr.right, order_cap),
+                              cap=order_cap)
     return evaluate(expr, order_cap=order_cap)
+
+
+@lru_cache(maxsize=2)  # the two factors of one product; never every Z_n, whose tables grow as n^2
+def _factor_ring(expr: RingExpr, order_cap: int):
+    """A product base ring's factor, evaluated."""
+    return evaluate(expr, order_cap=order_cap)
+
+
+@lru_cache(maxsize=None)  # one entry per group of the catalog
+def _group(factors: tuple[int, ...]) -> AbelianGroup:
+    """The group of a pair, from its factors, already canonical."""
+    return AbelianGroup(factors)
 
 
 def _evaluate_pair(args) -> tuple[dict, dict]:
@@ -113,7 +138,7 @@ def _evaluate_pair(args) -> tuple[dict, dict]:
     expr, factors, order_cap, verdicts = args
     started = time.perf_counter()
     ring = _base_ring(expr, order_cap)
-    group = make_group(factors)
+    group = _group(factors)
     size = ring.order**group.order
 
     if verdicts is None:
@@ -200,8 +225,11 @@ def run_sweep(config: SweepConfig, *, cache: VerdictCache | None = None) -> Swee
             raise CapExceeded("a sweep worker process died, most likely killed for running out of memory; "
                               "lower --jobs or --max-groupring-order") from None
     else:
-        results = [_evaluate_pair(args) for _, args in tasks]
-        _base_ring.cache_clear()  # free the last base ring's tables
+        try:
+            results = [_evaluate_pair(args) for _, args in tasks]
+        finally:
+            for memo in (_base_ring, _factor_ring, _group):  # free the last rings' tables
+                memo.cache_clear()
 
     if cache is not None:
         with cache.batch():  # one append for every new verdict

@@ -29,7 +29,7 @@ from ringlab import (
     parse_ring_expr,
     quotient_ring,
 )
-from ringlab import ideals, rings
+from ringlab import classify, ideals, rings
 from ringlab.expr import evaluate
 from ringlab.ideals import minimal_generators
 
@@ -447,6 +447,51 @@ def test_units_and_nilpotents_feed_disjoint_ideals(monkeypatch):
     assert util.indices(element_classes(no_units).units) == {no_units.one}  # the fault reached the units
     assert maximal_ideals(no_units) != want_max
     assert nilradical(no_units) == want_n
+
+
+def test_definitional_and_criteria_nilpotency_towers_are_independent(monkeypatch):
+    # minimal ideals and the four definitional verdicts read the tower of
+    # ideals._high_power, N and the criteria that of rings._nilpotent_mask,
+    # so a fault in either tower leaves the other side as it was
+    honest, no_nil, all_nil = (group_ring(make_zmod(9), make_group([2])).ring for _ in range(3))
+    want_min, want_n = minimal_ideals(honest), nilradical(honest)
+    want_verdicts = classify._definitional_verdicts(honest)
+    assert len(want_n) == 9 and len(want_min) == 2
+
+    monkeypatch.setattr(rings, "_nilpotent_mask", lambda r: np.arange(r.order) == r.zero)
+    assert nilradical(no_nil).is_zero  # the fault reached N
+    assert minimal_ideals(no_nil) == want_min
+    assert classify._definitional_verdicts(no_nil) == want_verdicts
+    monkeypatch.undo()
+
+    def everything_nilpotent(r):
+        return np.full(r.order, r.zero)
+
+    monkeypatch.setattr(ideals, "_high_power", everything_nilpotent)
+    monkeypatch.setattr(classify, "_high_power", everything_nilpotent)
+    assert minimal_ideals(all_nil) == ()  # the fault reached the socle: Ann(R) = 0
+    assert classify._definitional_verdicts(all_nil)[0].ok  # and the scans: every x is nilpotent + 0
+    assert nilradical(all_nil) == want_n
+
+
+@pytest.mark.parametrize("text, socle", [
+    ("GR(Z2, C8)", 2), ("GR(Z3, C3)", 3), ("GR(Z4, C2)", 2), ("Z4 x Z8", 4),
+])
+def test_minimal_ideals_read_only_rows_at_the_socle(monkeypatch, text, socle):
+    # N != 0, so after one row per additive generator of N, every row
+    # block of mul that minimal_ideals reads holds socle members only
+    ring = evaluate(parse_ring_expr(text))
+    blocks = []
+    row_blocks = ideals._row_blocks
+
+    def recorded(rows, width):
+        blocks.append(rows)
+        return row_blocks(rows, width)
+
+    monkeypatch.setattr(ideals, "_row_blocks", recorded)
+    found = minimal_ideals(ring)
+    assert blocks and max(blocks) <= socle
+    assert [m.key for m in found] == util.minimal_ideals_by_rank(ring)
 
 
 def test_is_prime_ideal_examples():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ringlab import (
+    DisagreementError,
     IdealSet,
     classify_ring,
     direct_product,
@@ -27,8 +28,8 @@ from ringlab import (
     weakly_nil_clean_group_ring_predicate,
     weakly_nil_neat_group_ring_predicate,
 )
-from ringlab import classify, group_algebra, ideals, rings
-from ringlab.sweep import SweepConfig, ring_catalog, run_sweep
+from ringlab import classify, expr, group_algebra, ideals, rings, sweep
+from ringlab.sweep import SweepConfig, group_catalog, ring_catalog, run_sweep
 
 
 def _count_splits(monkeypatch) -> list[str]:
@@ -61,6 +62,50 @@ def test_sweep_derives_maximal_ideals_once_per_base_ring(monkeypatch):
     report = run_sweep(config)
     assert report.all_agree and len(report.records) > len(ring_catalog(config))
     assert sorted(calls) == sorted(evaluate(e).label for e in ring_catalog(config))
+
+
+def test_sweep_builds_each_factor_ring_once_per_run_of_products(monkeypatch):
+    # Z2..Z9, then the products Z2 x Z2..Z6 and Z3 x Z3, Z3 x Z4: each
+    # product takes its factors from a two-ring memo, so the run of
+    # products sharing Z2 evaluates it once (22 calls if every product
+    # evaluated both of its factors)
+    calls = _record_calls(monkeypatch, expr, "make_zmod")
+    report = run_sweep(SweepConfig(), cache=None)
+    assert report.all_agree and len(report.records) == 53
+    assert calls == [2, 3, 4, 5, 6, 7, 8, 9, 2, 3, 4, 5, 6, 3, 4]
+    assert sweep._factor_ring.cache_info().maxsize == 2
+
+
+def test_pair_worker_takes_its_group_from_the_run(monkeypatch):
+    config = SweepConfig(max_ring_order=4, max_product_order=6, max_group_order=3, max_groupring_order=64)
+    groups = group_catalog(config.max_group_order)
+    monkeypatch.setattr(sweep, "group_catalog", lambda max_order: groups)
+    calls = [_record_calls(monkeypatch, module, "make_group") for module in (sweep, group_algebra, expr)]
+    report = run_sweep(config)
+    assert report.all_agree and len({r["group"] for r in report.records}) > 1
+    assert calls == [[], [], []]
+
+
+def _run_memos():
+    return (sweep._base_ring, sweep._factor_ring, sweep._group)
+
+
+def test_run_scoped_memos_are_empty_when_the_sweep_returns(monkeypatch):
+    config = SweepConfig(max_ring_order=4, max_product_order=6, max_group_order=2, max_groupring_order=64)
+    assert run_sweep(config).all_agree
+    assert [memo.cache_info().currsize for memo in _run_memos()] == [0, 0, 0]
+
+    def failing(ring, group):
+        assert [memo.cache_info().currsize for memo in _run_memos()] == [1, 2, 1]
+        raise DisagreementError("injected")
+
+    # with the catalog cut to Z2 x Z3, its first pair fails while the
+    # base ring, both its factors and the group are held
+    monkeypatch.setattr(classify, "weakly_nil_neat_group_ring_predicate", failing)
+    monkeypatch.setattr(sweep, "ring_catalog", lambda config: ring_catalog(config)[-1:])
+    with pytest.raises(DisagreementError, match="injected"):
+        run_sweep(config)
+    assert [memo.cache_info().currsize for memo in _run_memos()] == [0, 0, 0]
 
 
 def _count_misses(monkeypatch, module, name) -> list[str]:
@@ -106,9 +151,9 @@ def _record_calls(monkeypatch, module, name) -> list:
     calls = []
     original = getattr(module, name)
 
-    def recorded(first, *rest):
+    def recorded(first, *rest, **options):
         calls.append(first)
-        return original(first, *rest)
+        return original(first, *rest, **options)
 
     monkeypatch.setattr(module, name, recorded)
     return calls
