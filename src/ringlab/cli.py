@@ -253,15 +253,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "radical":
-            return _cmd_radical(args)
-        if args.command == "ideals":
-            return _cmd_ideals(args)
-        if args.command == "verify-theorem":
-            return _cmd_verify_theorem(args)
-        raise UsageError(f"unknown command {args.command!r}")
+        commands = {"classify": _cmd_classify, "radical": _cmd_radical, "ideals": _cmd_ideals,
+                    "verify-theorem": _cmd_verify_theorem}
+        return commands[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -13,9 +13,9 @@ is a base-``|R|`` digit of the index, so no coefficient table is kept.
 
 Each trivial unit t = a g of RG (a a unit of R, g in G) permutes RG,
 and mul[t x, y] = mul[x, t y].  :func:`group_ring` uses this to gather
-from RG's ``add`` only the row of the least member of each orbit of
-these units; every other row of ``mul`` is such a row read through the
-permutation of one trivial unit.
+from RG's ``add`` only the row of the least member r of each orbit of
+these units; row t r of ``mul`` is row r read at the columns t y, and
+each row is written once.
 """
 
 from __future__ import annotations
@@ -183,12 +183,11 @@ def group_ring(base: RingTable, group: AbelianGroup, *, cap: int = DEFAULT_ORDER
 
     Only the least member r of each orbit of the trivial units
     T = R^x x G has its row filled so.  Each t = a g in T permutes RG
-    (a scales every coefficient, g shifts them), and mul[t x, y] =
-    mul[x, t y].  So the row of an x with t x = r is row r read through
-    the permutation y -> t^-1 y, one contiguous row at a time.  The
-    permutations are formed for a chunk of T at a time, once to find
-    each x's least image t x and once to read the rows of the x that t
-    takes there.  Every row is written straight into ``mul``, so no
+    (a scales every coefficient, g shifts them), and mul[t r, y] =
+    mul[r, t y].  So row t r is row r read at the columns t y.  The
+    permutations are formed for a chunk of T at a time, once to find the
+    least members and once to write, for each t, the rows t r not yet
+    written.  Each row is written once, straight into ``mul``, so no
     temporary outgrows a chunk or a row block.
     """
     n = base.order
@@ -207,23 +206,18 @@ def group_ring(base: RingTable, group: AbelianGroup, *, cap: int = DEFAULT_ORDER
     weight = n ** np.array([[index[tuple((a + b) % d for a, b, d in zip(eh, eg, group.factors))] for eh in elements]
                             for eg in elements], dtype=np.int64)
     units = np.flatnonzero(element_classes(base).units)
-    chunks = list(_row_blocks(units.size, m * m * size))  # t = a g is numbered (position of a) m + g
+    chunks = list(_row_blocks(units.size, m * m * size))
 
     def act(us: slice) -> np.ndarray:
         """Row k m + g is the permutation x -> a g x of RG, for a = units[us][k]."""
         scaled = base.mul[units[us]][:, None, digits]  # [k, 0, h, x] is digit h of a x
         return (scaled * weight[:, :, None].astype(dt)).sum(axis=2, dtype=dt).reshape(-1, size)
 
-    least = np.arange(size, dtype=dt)  # least member of x's orbit seen so far
-    taker = np.full(size, -1, dtype=np.intp)  # a t with t x = least[x] < x, or -1 while x is least
+    least = np.arange(size, dtype=dt)  # least member of x's orbit
     for us in chunks:
-        perms = act(us)
-        low = perms.min(axis=0)
-        lower = low < least
-        np.copyto(taker, perms.argmin(axis=0) + us.start * m, where=lower)
-        np.copyto(least, low, where=lower)
-    # the least members in increasing order, then every other x sorted by its t
-    reps, others = np.split(np.argsort(taker, kind="stable"), [np.count_nonzero(taker < 0)])
+        np.minimum(least, act(us).min(axis=0), out=least)
+    filled = least == np.arange(size)  # the least members, whose rows the recurrence fills
+    reps = np.flatnonzero(filled)
     flat = add.ravel()  # add[u, v] is flat[u * size + v]
     mul = np.empty((size, size), dtype=dt)
     mul[reps, 0] = 0  # u * 0, where the recurrence starts
@@ -235,14 +229,14 @@ def group_ring(base: RingTable, group: AbelianGroup, *, cap: int = DEFAULT_ORDER
             lo = n**t
             idx = mul[u, :lo][:, None, :] + col[:, t, :, None]
             mul[u, lo : n * lo] = np.take(flat, idx).reshape(u.size, -1)
-    # others[bounds[t] : bounds[t + 1]] are the x that t takes to their least member
-    bounds = np.searchsorted(taker[others], np.arange(units.size * m + 1)).tolist()
     for us in chunks:
-        inverse = act(us).argsort(axis=1, kind="stable")  # row k is y -> t^-1 y, t numbered us.start m + k
-        for k, t in enumerate(range(us.start * m, us.stop * m)):
-            x = others[bounds[t] : bounds[t + 1]]
+        for perm in act(us):  # perm is y -> t y
+            images = perm[reps]
+            new = ~filled[images]
+            x, r = images[new], reps[new]
+            filled[x] = True
             for rows in _row_blocks(x.size, size):
-                mul[x[rows]] = mul[least[x[rows]]].take(inverse[k], axis=1)
+                mul[x[rows]] = mul[r[rows]].take(perm, axis=1)
     # -x has digits -x_h, each placed at n^h = weight[0, h]
     neg = (base.neg[digits] * weight[0, :, None].astype(dt)).sum(axis=0, dtype=dt)
     ring = RingTable(add, mul, zero=0, one=int(base.one), label=f"GR({base.label}, {group.label})", neg=neg)
@@ -252,25 +246,21 @@ def group_ring(base: RingTable, group: AbelianGroup, *, cap: int = DEFAULT_ORDER
 def karpilovsky_radical(view: GroupRingView) -> IdealSet:
     """Jacobson radical of RG from base-ring data alone.
 
-    Generators: every j*g with j in J(R) and g in G, together with every
-    r*(g_p - 1) where p is a prime dividing |G|, g_p runs over the
-    p-torsion elements of G, and p*r lies in J(R).
+    Generators: every j in J(R), together with every r*(g_p - 1) where
+    p is a prime dividing |G|, g_p runs over the p-torsion elements of G
+    other than the identity, and p*r lies in J(R).  Each g in G is a
+    unit of RG, so the ideal holds every j*g as well.
     """
     base, group = view.base, view.group
     j_base = jacobson_radical(base)
     in_j = set(j_base.key)
-    gens: set[int] = set()
+    gens = set(in_j)
     n = base.order
-    for j in j_base.key:
-        for g in range(group.order):
-            gens.add(j * n**g)
     for p in _factorint(group.order):
         shifted = [r for r in range(n) if base.int_mul(p, r) in in_j]
-        torsion = group.p_torsion_indices(p)
+        torsion = group.p_torsion_indices(p)[1:]  # the identity gives r*(1 - 1) = 0
         for r in shifted:
             neg_r = int(base.neg[r])
             for g in torsion:
-                if g == 0:
-                    continue  # r*(1 - 1) = 0
                 gens.add(neg_r + r * n**g)
     return ideal_generated(view.ring, sorted(gens))

@@ -9,10 +9,10 @@ so reports are byte-stable; wall times are the only nondeterministic
 fields.
 
 The pairs of one base ring run one after another, so a run builds each
-catalog object once: the base ring, kept while its pairs run, each
-factor of a product base ring, kept while the products sharing it run,
-and each group.  These run-scoped memos are emptied when
-:func:`run_sweep` returns.
+catalog object once: each group, and each base ring in one ring memo
+that holds a product Z_a x Z_b and its two factors, so the run of
+products sharing Z_a builds it once.  These run-scoped memos are
+emptied when :func:`run_sweep` returns.
 
 With ``jobs > 1`` the pairs run in a process pool.  The pool is imported
 on first use, so a serial sweep and every other command start without
@@ -102,23 +102,17 @@ def group_catalog(max_order: int) -> list[AbelianGroup]:
     return sorted(groups, key=lambda g: (g.order, g.factors))
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=3)  # a product and its two factors; never every Z_n, whose tables grow as n^2
 def _base_ring(expr: RingExpr, order_cap: int):
     """The evaluated base ring, kept while the sweep runs through its
     groups, so that its memoized facts are derived once per ring.
 
-    A product Z_a x Z_b is built by :func:`direct_product` from factor
-    rings kept in :func:`_factor_ring`, so the run of products with a
-    common Z_a evaluates each factor once, not once per product."""
+    A product Z_a x Z_b is built by :func:`direct_product` from its
+    factors, taken from this same memo, so the run of products with a
+    common Z_a evaluates Z_a once, not once per product."""
     if isinstance(expr, ProductExpr):
-        return direct_product(_factor_ring(expr.left, order_cap), _factor_ring(expr.right, order_cap),
+        return direct_product(_base_ring(expr.left, order_cap), _base_ring(expr.right, order_cap),
                               cap=order_cap)
-    return evaluate(expr, order_cap=order_cap)
-
-
-@lru_cache(maxsize=2)  # the two factors of one product; never every Z_n, whose tables grow as n^2
-def _factor_ring(expr: RingExpr, order_cap: int):
-    """A product base ring's factor, evaluated."""
     return evaluate(expr, order_cap=order_cap)
 
 
@@ -228,7 +222,7 @@ def run_sweep(config: SweepConfig, *, cache: VerdictCache | None = None) -> Swee
         try:
             results = [_evaluate_pair(args) for _, args in tasks]
         finally:
-            for memo in (_base_ring, _factor_ring, _group):  # free the last rings' tables
+            for memo in (_base_ring, _group):  # free the last rings' tables
                 memo.cache_clear()
 
     if cache is not None:

@@ -3,7 +3,8 @@
 The traced run wraps each ``TARGETS`` entry of bench/tracing.py by name,
 and the sweep workloads find a pair's latency by walking the stack for
 the frame of ``ringlab.sweep._evaluate_pair`` and reading its ``args``:
-the pair's expression and group factors come first.
+the pair's expression and group factors come first.  The default sweep
+gives the records pinned in bench/golden.json.
 """
 
 import importlib
@@ -43,6 +44,19 @@ def _load_workloads(monkeypatch):
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
     spec.loader.exec_module(workloads)
     return workloads
+
+
+def test_default_sweep_matches_the_bench_golden_records(monkeypatch):
+    # the benchmark's sweep workloads fail a pass whose records differ
+    # from bench/golden.json; check the same records here, without a cache
+    workloads = _load_workloads(monkeypatch)
+    golden = workloads.GOLDEN["sweep"]
+    report = ringlab.sweep.run_sweep(ringlab.sweep.SweepConfig())
+    digest, per_pair = workloads.record_digests(report.records)
+    assert per_pair == golden["records"]
+    assert digest == golden["digest"]
+    assert report.summary["pairs"] == len(report.records) == golden["pairs"]
+    assert report.summary["disagreements"] == golden["disagreements"]
 
 
 def test_pair_worker_takes_args():

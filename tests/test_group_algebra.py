@@ -246,10 +246,14 @@ class _TakeSpy:
     ("GR(Z9, C4)", 6561, 291),
     ("GR(Z4096, 1)", 4096, 13),
     ("GR(Z2 x Z3, C2 x C2)", 4096, 191),
+    ("GR(Z3, C2 x C2 x C2)", 6561, 481),
+    ("GR(Z2, C12)", 4096, 352),
 ])
 def test_group_ring_gathers_from_add_once_per_orbit_of_trivial_units(monkeypatch, text, cap, orbits):
     # only the least member of each orbit of T = R^x x G gathers its row
-    # from add, one entry per nonzero column; every other row is read off it
+    # from add, one entry per nonzero column; every other row is read off
+    # it.  GR(Z3, C2 x C2 x C2) has 16 trivial units, which fix many
+    # elements, and GR(Z2, C12) has 12, all of them shifts
     expr = parse_ring_expr(text)
     base, group = evaluate(expr.base), make_group(expr.orders)
     spy = _TakeSpy()
@@ -267,10 +271,15 @@ def test_group_ring_gathers_from_add_once_per_orbit_of_trivial_units(monkeypatch
     ("GR(Z9, C4)", 6561, "25ecce4aad1e2e4e"),
     ("GR(Z2 x Z3, C2 x C2)", 4096, "cb2526b93380df14"),
     ("GR(Z4096, 1)", 4096, "20f0d60f97f2468c"),
+    ("GR(Z7, C4)", 2401, "101ad229c122f884"),
+    ("GR(Z3, C2 x C2 x C2)", 6561, "445d00ca11bf43a5"),
+    ("GR(Z2, C12)", 4096, "6116ce419155c694"),
 ])
 def test_group_ring_tables_are_pinned_beyond_the_convolution_oracle(text, cap, digest):
     # the full convolution oracle stops near order 1024; these digests of
-    # dtype, add and mul were taken from the column-by-column build
+    # dtype, add and mul were taken from earlier builds: the first three
+    # from the column-by-column build, the last three from the orbit build
+    # that read rows through inverse permutations
     ring = evaluate(parse_ring_expr(text), order_cap=cap)
     tables = str(ring.add.dtype).encode() + ring.add.tobytes() + ring.mul.tobytes()
     assert hashlib.sha256(tables).hexdigest()[:16] == digest

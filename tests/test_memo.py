@@ -66,14 +66,14 @@ def test_sweep_derives_maximal_ideals_once_per_base_ring(monkeypatch):
 
 def test_sweep_builds_each_factor_ring_once_per_run_of_products(monkeypatch):
     # Z2..Z9, then the products Z2 x Z2..Z6 and Z3 x Z3, Z3 x Z4: each
-    # product takes its factors from a two-ring memo, so the run of
-    # products sharing Z2 evaluates it once (22 calls if every product
-    # evaluated both of its factors)
+    # product takes its factors from the three-ring memo that holds it,
+    # so the run of products sharing Z2 evaluates it once (22 calls if
+    # every product evaluated both of its factors)
     calls = _record_calls(monkeypatch, expr, "make_zmod")
     report = run_sweep(SweepConfig(), cache=None)
     assert report.all_agree and len(report.records) == 53
     assert calls == [2, 3, 4, 5, 6, 7, 8, 9, 2, 3, 4, 5, 6, 3, 4]
-    assert sweep._factor_ring.cache_info().maxsize == 2
+    assert sweep._base_ring.cache_info().maxsize == 3
 
 
 def test_pair_worker_takes_its_group_from_the_run(monkeypatch):
@@ -87,16 +87,16 @@ def test_pair_worker_takes_its_group_from_the_run(monkeypatch):
 
 
 def _run_memos():
-    return (sweep._base_ring, sweep._factor_ring, sweep._group)
+    return (sweep._base_ring, sweep._group)
 
 
 def test_run_scoped_memos_are_empty_when_the_sweep_returns(monkeypatch):
     config = SweepConfig(max_ring_order=4, max_product_order=6, max_group_order=2, max_groupring_order=64)
     assert run_sweep(config).all_agree
-    assert [memo.cache_info().currsize for memo in _run_memos()] == [0, 0, 0]
+    assert [memo.cache_info().currsize for memo in _run_memos()] == [0, 0]
 
     def failing(ring, group):
-        assert [memo.cache_info().currsize for memo in _run_memos()] == [1, 2, 1]
+        assert [memo.cache_info().currsize for memo in _run_memos()] == [3, 1]
         raise DisagreementError("injected")
 
     # with the catalog cut to Z2 x Z3, its first pair fails while the
@@ -105,7 +105,7 @@ def test_run_scoped_memos_are_empty_when_the_sweep_returns(monkeypatch):
     monkeypatch.setattr(sweep, "ring_catalog", lambda config: ring_catalog(config)[-1:])
     with pytest.raises(DisagreementError, match="injected"):
         run_sweep(config)
-    assert [memo.cache_info().currsize for memo in _run_memos()] == [0, 0, 0]
+    assert [memo.cache_info().currsize for memo in _run_memos()] == [0, 0]
 
 
 def _count_misses(monkeypatch, module, name) -> list[str]:
