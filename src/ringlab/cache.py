@@ -28,7 +28,8 @@ def is_sweep_verdict(value) -> bool:
     """Whether ``value`` is a verdict pair the sweep can store:
     ``{"wnn": {"ok": bool, "witness": list of int | None},
     "wnc": {"ok": bool, "witness": int | None}}``, where the witness is
-    None exactly when ``ok`` holds, as every decider returns it."""
+    None exactly when ``ok`` holds, as every decider returns it.  An int
+    is an element index; a list holds a nonzero ideal's, strictly rising."""
 
     def part(name, is_witness) -> bool:
         entry = value.get(name)
@@ -37,14 +38,13 @@ def is_sweep_verdict(value) -> bool:
         witness = entry.get("witness")
         return witness is None if entry["ok"] else is_witness(witness)
 
-    def is_int(w) -> bool:
-        return type(w) is int  # not a bool
+    def is_index(w) -> bool:
+        return type(w) is int and w >= 0  # not a bool
 
-    return (
-        isinstance(value, dict)
-        and part("wnn", lambda w: type(w) is list and all(map(is_int, w)))
-        and part("wnc", is_int)
-    )
+    def is_ideal(w) -> bool:
+        return type(w) is list and len(w) >= 2 and all(map(is_index, w)) and all(a < b for a, b in zip(w, w[1:]))
+
+    return isinstance(value, dict) and part("wnn", is_ideal) and part("wnc", is_index)
 
 
 class VerdictCache:

@@ -14,11 +14,9 @@ the ideal lattice: a finite commutative ring is the product of
 the local rings Re over its primitive idempotents e, so each maximal
 ideal is read off one primitive idempotent and the units (see
 :func:`maximal_ideals`), and the Jacobson radical is a literal
-intersection of those maximal ideals.  Minimal ideals are principal,
-Rx, lie in the socle Ann(N), and are found by a walk over the socle's
-classes of equal |Ann(x)|, also without the lattice; when N is nonzero
-the walk reads rows of ``mul`` only at the socle and at additive
-generators of N.
+intersection of those maximal ideals.  Minimal ideals are the Rx for
+x in the socle Ann(N) and in one local factor Re, also without the
+lattice: one row of ``mul`` per minimal ideal (see :func:`minimal_ideals`).
 The lattice, these ideals and both radicals are memoized on the ring
 as the :class:`IdealSet` objects callers receive (see
 :mod:`ringlab.rings`).  Everything is deterministic; ideal tuples are
@@ -331,7 +329,7 @@ def maximal_ideals(ring: RingTable) -> tuple[IdealSet, ...]:
     local ring, a field included, has e_1 = 1 and its non-units as its
     maximal ideal.
     """
-    classes = element_classes(ring)
+    classes = element_classes(ring)  # apart on purpose from minimal_ideals' read (_local_parts)
     found = []
     for e in _primitive_idempotents(ring, np.flatnonzero(classes.idempotents)):
         rest = ring.add[ring.one, ring.neg[e]]  # 1 - e
@@ -357,55 +355,55 @@ def _high_power(ring: RingTable) -> np.ndarray:
     return high
 
 
+def _local_parts(ring: RingTable) -> np.ndarray:
+    """Mask of the x in eR for an atom (primitive idempotent) e.
+
+    For an idempotent e, row e of ``mul`` has eR as its fixed points, and
+    e is an atom iff they hold two idempotents, 0 and e.  The idempotents
+    are the fixed points of the diagonal, read only at those of
+    :func:`_high_power` (e^(2^K) = e): a strided read of all of it is slow.
+    """
+    idx = np.arange(ring.order)
+    fixed = np.flatnonzero(_high_power(ring) == idx)
+    # apart on purpose from maximal_ideals' read (element_classes, _primitive_idempotents)
+    idempotents = fixed[ring.mul.diagonal()[fixed] == fixed]
+    idempotent = np.zeros(ring.order, dtype=bool)
+    idempotent[idempotents] = True
+    parts = np.zeros(ring.order, dtype=bool)
+    for rows in _row_blocks(idempotents.size, ring.order):
+        within = ring.mul.take(idempotents[rows], axis=0) == idx  # eR, one row per e
+        parts |= within[np.count_nonzero(within & idempotent, axis=1) == 2].any(axis=0)
+    return parts
+
+
 @_memo
 def minimal_ideals(ring: RingTable) -> tuple[IdealSet, ...]:
     """All minimal nonzero ideals, in canonical order; a field has only R.
 
-    A minimal ideal M lies in the socle Ann(N): NM is an ideal inside M,
-    and not M itself, since N is nilpotent, so NM = 0.  The socle is
-    read off one row of ``mul`` for each additive generator of N (taken
-    from :func:`_high_power`), and every later read is a row of ``mul``
-    at a socle member.  A minimal ideal is some Rx, and Rx is R/Ann(x)
-    as a group, so the nonzero x of the socle are visited in classes of
-    equal |Ann(x)|, largest first: |Rx| ascending.  Rx is minimal unless
-    x lies in a minimal ideal already found or divides one of their
-    generators g (g occurs in row x of ``mul``): a non-minimal Rx
-    properly contains a minimal Rg with |Rg| < |Rx|, found in an earlier
-    class, and g lies in Rx.  The units, where Rx = R, are in the socle
-    only when N = 0, and are visited only in a field.
+    R is the product of the local rings Re over its atoms e
+    (Atiyah-Macdonald 8.7).  A minimal M lies in the socle S = Ann(N), as
+    NM is an ideal inside M and not M, N being nilpotent.  M = eM for
+    exactly one atom e, the eM being ideals that meet only in 0 and sum
+    to M.  For 0 != x in eS, Rx = (Re)x is killed by Ne, the maximal ideal
+    of Re, so Rx is Re/Ne, a field, as an Re-module: Rx is minimal.  So
+    the candidates, the nonzero x of S in some eR (:func:`_local_parts`),
+    are the nonzero members of the minimal ideals; while one remains, the
+    least, x, gives Rx (row x of ``mul``), whose members are dropped.  S
+    is read off one row of ``mul`` per additive generator of N (from
+    :func:`_high_power`): one row per such generator, per idempotent and
+    per minimal ideal is read in all.
     """
-    n = ring.order
-    ann = np.zeros(n, dtype=ring.mul.dtype)  # |Ann(x)|, at most n, on the socle
-    # zero, outside the socle, in a minimal ideal found, or a divisor of a generator
-    decided = np.zeros(n, dtype=bool)
-    decided[ring.zero] = True
+    candidate = _local_parts(ring)
+    candidate[ring.zero] = False
     nilpotents = np.flatnonzero(_high_power(ring) == ring.zero)
-    if nilpotents.size == 1:  # N = 0: the socle is R, read in contiguous row blocks with no copy
-        for rows in _row_blocks(n, n):
-            ann[rows] = (ring.mul[rows] == ring.zero).sum(axis=1, dtype=ann.dtype)
-    else:
-        in_socle = np.ones(n, dtype=bool)
-        for g in _additive_generators(ring, nilpotents):
-            in_socle &= ring.mul[g] == ring.zero
-        decided |= ~in_socle
-        socle = np.flatnonzero(in_socle)
-        for rows in _row_blocks(socle.size, n):
-            ann[socle[rows]] = (ring.mul.take(socle[rows], axis=0) == ring.zero).sum(axis=1, dtype=ann.dtype)
+    for g in _additive_generators(ring, nilpotents):
+        candidate &= ring.mul[g] == ring.zero
     found = []
-    for size in np.unique(ann[~decided])[::-1]:
-        if size == 1 and found:
-            break
-        gens = []
-        for x in np.flatnonzero((ann == size) & ~decided):
-            if not decided[x]:
-                gens.append(x)
-                found.append(_principal(ring, x))
-                decided[found[-1]] = True
-        for g in gens:  # each pass reads only the rows still undecided
-            later = np.flatnonzero((ann < size) & (ann > 1) & ~decided)
-            for rows in _row_blocks(later.size, n):
-                divides = (ring.mul.take(later[rows], axis=0) == g).any(axis=1)
-                decided[later[rows][divides]] = True
+    x = int(candidate.argmax())  # the least candidate, if one remains
+    while candidate[x]:
+        found.append(_principal(ring, x))
+        candidate[found[-1]] = False
+        x = int(candidate.argmax())
     return _in_canonical_order(ring, found)
 
 

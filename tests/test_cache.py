@@ -94,6 +94,12 @@ def test_wrongly_shaped_values_are_skipped(tmp_path):
         {"wnn": {"ok": 1, "witness": None}, "wnc": {"ok": True, "witness": None}},
         {"wnn": {"ok": True, "witness": 3}, "wnc": {"ok": True, "witness": None}},
         {"wnn": {"ok": True, "witness": None}, "wnc": {"ok": True, "witness": True}},
+        {"wnn": {"ok": False, "witness": []}, "wnc": {"ok": True, "witness": None}},
+        {"wnn": {"ok": False, "witness": [0]}, "wnc": {"ok": True, "witness": None}},
+        {"wnn": {"ok": False, "witness": [5, 3, -1]}, "wnc": {"ok": True, "witness": None}},
+        {"wnn": {"ok": False, "witness": [0, 3, 3]}, "wnc": {"ok": True, "witness": None}},
+        {"wnn": {"ok": False, "witness": [-1, 3]}, "wnc": {"ok": True, "witness": None}},
+        {"wnn": {"ok": True, "witness": None}, "wnc": {"ok": False, "witness": -7}},
     ]
     writer = VerdictCache(path, version="v")
     writer.put("good", good)

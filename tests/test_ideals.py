@@ -314,7 +314,12 @@ def test_minimal_ideals_match_lattice(ideal_test_rings):
         assert all(m.members.dtype == np.int64 for m in got), ring.label
 
 
-@pytest.mark.parametrize("text", ["GR(Z9, C4)", "GR(Z3, C2 x C2 x C2)"])
+@pytest.mark.parametrize("text", [
+    "GR(Z9, C4)", "GR(Z3, C2 x C2 x C2)",
+    "Z4 x Z3 x Z5", "GR(Z2 x Z9, C2)", "GR(Z4, C2) x GR(Z2, C3)",  # field and non-field local factors
+    "GR(Z2 x Z5, C3)", "GR(Z7, C4)",  # reduced
+    " x ".join(["Z2"] * 9),  # Boolean: all 512 elements idempotent
+])
 def test_minimal_ideals_match_rank_rule_beyond_the_lattice_cap(text):
     ring = evaluate(parse_ring_expr(text), order_cap=6561)
     assert [m.key for m in minimal_ideals(ring)] == util.minimal_ideals_by_rank(ring)
@@ -474,23 +479,68 @@ def test_definitional_and_criteria_nilpotency_towers_are_independent(monkeypatch
     assert nilradical(all_nil) == want_n
 
 
+def _rows_before_the_walk(ring) -> list[int]:
+    """The rows of mul that minimal_ideals reads before its walk: one per
+    idempotent and one per additive generator of N."""
+    idempotents = np.flatnonzero(np.asarray(ring.mul).diagonal() == np.arange(ring.order))
+    nilpotents = np.flatnonzero(ideals._high_power(ring) == ring.zero)
+    return sorted(idempotents.tolist() + ideals._additive_generators(ring, nilpotents))
+
+
+@pytest.mark.parametrize("text", ["GR(Z2 x Z3, C2)", "GR(Z9, C2)"])
+def test_minimal_and_maximal_ideals_read_idempotents_apart(monkeypatch, text):
+    # minimal ideals split the socle by their own atoms (ideals._local_parts),
+    # maximal ideals by element_classes and _primitive_idempotents, so a
+    # fault in either read leaves the other side as it was
+    honest, wrong_classes, wrong_atoms = (evaluate(parse_ring_expr(text)) for _ in range(3))
+    want_min, want_max, want_j = minimal_ideals(honest), maximal_ideals(honest), jacobson_radical(honest)
+    want_verdicts = classify._definitional_verdicts(honest)
+    assert len(want_max) > 1
+
+    def trivial_classes(r):
+        idx = np.arange(r.order)
+        return rings.ElementClasses(idx == r.zero, (idx == r.zero) | (idx == r.one), idx == r.one)
+
+    for module in (rings, ideals, classify):
+        monkeypatch.setattr(module, "element_classes", trivial_classes)
+    monkeypatch.setattr(ideals, "_primitive_idempotents", lambda r, idempotents: np.array([r.one]))
+    assert maximal_ideals(wrong_classes) != want_max  # the fault reached the maximal ideals
+    assert minimal_ideals(wrong_classes) == want_min
+    assert classify._definitional_verdicts(wrong_classes) == want_verdicts
+    monkeypatch.undo()
+
+    monkeypatch.setattr(ideals, "_local_parts", lambda r: np.ones(r.order, dtype=bool))
+    assert minimal_ideals(wrong_atoms) != want_min  # the fault reached the minimal ideals
+    assert maximal_ideals(wrong_atoms) == want_max and jacobson_radical(wrong_atoms) == want_j
+
+
 @pytest.mark.parametrize("text, socle", [
     ("GR(Z2, C8)", 2), ("GR(Z3, C3)", 3), ("GR(Z4, C2)", 2), ("Z4 x Z8", 4),
 ])
-def test_minimal_ideals_read_only_rows_at_the_socle(monkeypatch, text, socle):
-    # N != 0, so after one row per additive generator of N, every row
-    # block of mul that minimal_ideals reads holds socle members only
+def test_minimal_ideals_read_only_rows_at_the_socle(text, socle):
+    # N != 0: past one row per idempotent and per additive generator of
+    # N, minimal_ideals reads one row per minimal ideal, each at a socle
+    # member
     ring = evaluate(parse_ring_expr(text))
-    blocks = []
-    row_blocks = ideals._row_blocks
+    found, rows = util.mul_rows_read(ring, minimal_ideals)
+    before = _rows_before_the_walk(ring)
+    mul = np.asarray(ring.mul)
+    in_socle = (mul[nilradical(ring).members] == ring.zero).all(axis=0)
+    assert np.count_nonzero(in_socle) == socle
+    assert sorted(rows[:len(before)]) == before
+    walk = rows[len(before):]
+    assert len(walk) == len(found) and in_socle[walk].all()
+    assert [m.key for m in found] == util.minimal_ideals_by_rank(ring)
 
-    def recorded(rows, width):
-        blocks.append(rows)
-        return row_blocks(rows, width)
 
-    monkeypatch.setattr(ideals, "_row_blocks", recorded)
-    found = minimal_ideals(ring)
-    assert blocks and max(blocks) <= socle
+@pytest.mark.parametrize("text", ["GR(Z2 x Z5, C3)", "GR(Z7, C4)", "Z4093"])
+def test_minimal_ideals_read_few_rows_of_a_reduced_ring(text):
+    # N = 0, so the socle is R, yet one row is read per idempotent and per
+    # minimal ideal, not all n rows
+    ring = evaluate(parse_ring_expr(text))
+    found, rows = util.mul_rows_read(ring, minimal_ideals)
+    assert nilradical(ring).is_zero
+    assert len(rows) <= len(_rows_before_the_walk(ring)) + len(found) < ring.order
     assert [m.key for m in found] == util.minimal_ideals_by_rank(ring)
 
 

@@ -15,7 +15,8 @@ The last two are the full scans that the package's row reads, which
 assume the ring axioms, replaced.
 :func:`neat_verdicts_by_quotients` is the other kind: it builds each
 minimal quotient with the package and scans it with that element scan,
-to check the package's coset scan.
+to check the package's coset scan.  :func:`mul_rows_read` records the
+rows of ``mul`` that a package call reads.
 """
 
 from __future__ import annotations
@@ -337,6 +338,38 @@ def minimal_ideals_by_rank(ring) -> list[tuple[int, ...]]:
         if x != ring.zero and rank[mul[x]].max() == ann[x]:  # row x of mul is Rx
             found.add(tuple(np.unique(mul[x]).tolist()))
     return sorted(found, key=lambda m: (len(m), m))
+
+
+class _RowRecorder(np.ndarray):
+    """A view of a table that appends to ``rows`` the row of each entry
+    read through ``[]`` or ``take``, and returns plain arrays.  The
+    diagonal is one read of n entries, not n rows, and is not recorded."""
+
+    def __getitem__(self, key):
+        rows = key[0] if isinstance(key, tuple) else key
+        self.rows.extend(np.arange(self.shape[0])[rows].ravel().tolist())
+        return np.asarray(self)[key]
+
+    def take(self, indices, axis=None, **kwargs):
+        flat = np.ravel(indices)
+        self.rows.extend((flat if axis == 0 else flat // self.shape[1]).tolist())
+        return np.asarray(self).take(indices, axis=axis, **kwargs)
+
+    def diagonal(self, *args, **kwargs):
+        return np.asarray(self).diagonal(*args, **kwargs)
+
+
+def mul_rows_read(ring, fn) -> tuple:
+    """``fn(ring)`` and the rows of ``ring.mul`` it read, in the order
+    read, a row read twice listed twice."""
+    table = ring.mul
+    recorder = table.view(_RowRecorder)
+    recorder.rows = []
+    ring.mul = recorder
+    try:
+        return fn(ring), recorder.rows
+    finally:
+        ring.mul = table
 
 
 def clean_verdicts_by_element_scan(ring) -> tuple:
