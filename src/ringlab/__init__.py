@@ -45,9 +45,7 @@ from .classify import (
     Verdict,
     classify_ring,
     is_nil_clean_criterion,
-    is_nil_clean_definitional,
     is_nil_neat_criterion,
-    is_nil_neat_definitional,
     is_weakly_nil_clean_definitional,
     is_weakly_nil_neat_definitional,
     nil_clean_group_ring_predicate,
@@ -99,9 +97,7 @@ __all__ = [
     "Verdict",
     "classify_ring",
     "is_nil_clean_criterion",
-    "is_nil_clean_definitional",
     "is_nil_neat_criterion",
-    "is_nil_neat_definitional",
     "is_weakly_nil_clean_definitional",
     "is_weakly_nil_neat_definitional",
     "nil_clean_group_ring_predicate",

@@ -12,8 +12,9 @@ Four properties of a finite commutative ring R:
 Each property gets a definitional brute-force decider and a structural
 criterion in terms of radicals and residue fields; the criteria read the
 shapes of R/N and R/J off two counts, once per ring, and build neither
-quotient.  All four deciders read one scan, and each answers with a
-:class:`Verdict`.  Every property is a statement about images of R: the
+quotient.  One scan gives all four definitional verdicts, each a
+:class:`Verdict`; the weakly nil-clean and weakly nil-neat ones are also
+public deciders, which the sweep calls.  Every property is a statement about images of R: the
 clean ones about R itself, the image R/0, and the neat ones about R/M
 for the minimal nonzero ideals M.  One function reads each such image
 on R's own cosets and builds no quotient ring.  :func:`classify_ring`
@@ -110,19 +111,9 @@ def _definitional_verdicts(ring: RingTable) -> tuple[Verdict, Verdict, Verdict, 
     return (*clean, nil_neat, fine)
 
 
-def is_nil_clean_definitional(ring: RingTable) -> Verdict:
-    """Scan for an element outside nilpotents + idempotents."""
-    return _definitional_verdicts(ring)[0]
-
-
 def is_weakly_nil_clean_definitional(ring: RingTable) -> Verdict:
     """Scan for an element outside (N + E) union (N - E)."""
     return _definitional_verdicts(ring)[1]
-
-
-def is_nil_neat_definitional(ring: RingTable) -> Verdict:
-    """Every quotient by a nonzero proper ideal must be nil-clean."""
-    return _definitional_verdicts(ring)[2]
 
 
 def is_weakly_nil_neat_definitional(ring: RingTable) -> Verdict:

@@ -29,6 +29,7 @@ from .ideals import IdealSet, ideal_generated, jacobson_radical
 from .rings import (
     DEFAULT_ORDER_CAP,
     CapExceeded,
+    DisagreementError,
     RingTable,
     _product_table,
     _row_blocks,
@@ -189,6 +190,13 @@ def group_ring(base: RingTable, group: AbelianGroup, *, cap: int = DEFAULT_ORDER
     least members and once to write, for each t, the rows t r not yet
     written.  Each row is written once, straight into ``mul``, so no
     temporary outgrows a chunk or a row block.
+
+    Row t r = row r at the columns t y holds for any t, by associativity
+    and commutativity; only which rows get written depends on the units
+    of R, read off :func:`ringlab.rings.element_classes`.  A row left
+    unwritten raises :class:`DisagreementError`, so the tables never
+    depend on those units being right: they are right, or the build
+    raises.
     """
     n = base.order
     m = group.order
@@ -237,6 +245,9 @@ def group_ring(base: RingTable, group: AbelianGroup, *, cap: int = DEFAULT_ORDER
             filled[x] = True
             for rows in _row_blocks(x.size, size):
                 mul[x[rows]] = mul[r[rows]].take(perm, axis=1)
+    if not filled.all():
+        raise DisagreementError(f"GR({base.label}, {group.label}): {size - np.count_nonzero(filled)} of {size} "
+                                f"rows of mul left unwritten; the units of {base.label} do not form a group")
     # -x has digits -x_h, each placed at n^h = weight[0, h]
     neg = (base.neg[digits] * weight[0, :, None].astype(dt)).sum(axis=0, dtype=dt)
     ring = RingTable(add, mul, zero=0, one=int(base.one), label=f"GR({base.label}, {group.label})", neg=neg)

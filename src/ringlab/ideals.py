@@ -15,8 +15,10 @@ the local rings Re over its primitive idempotents e, so each maximal
 ideal is read off one primitive idempotent and the units (see
 :func:`maximal_ideals`), and the Jacobson radical is a literal
 intersection of those maximal ideals.  Minimal ideals are the Rx for
-x in the socle Ann(N) and in one local factor Re, also without the
-lattice: one row of ``mul`` per minimal ideal (see :func:`minimal_ideals`).
+the nonzero x of the socle Ann(N) that every idempotent fixes or kills,
+which are those in one local factor Re, also without the lattice: one
+row of ``mul`` per idempotent and per minimal ideal (see
+:func:`minimal_ideals`).
 The lattice, these ideals and both radicals are memoized on the ring
 as the :class:`IdealSet` objects callers receive (see
 :mod:`ringlab.rings`).  Everything is deterministic; ideal tuples are
@@ -329,7 +331,7 @@ def maximal_ideals(ring: RingTable) -> tuple[IdealSet, ...]:
     local ring, a field included, has e_1 = 1 and its non-units as its
     maximal ideal.
     """
-    classes = element_classes(ring)  # apart on purpose from minimal_ideals' read (_local_parts)
+    classes = element_classes(ring)  # apart on purpose from minimal_ideals' idempotent read
     found = []
     for e in _primitive_idempotents(ring, np.flatnonzero(classes.idempotents)):
         rest = ring.add[ring.one, ring.neg[e]]  # 1 - e
@@ -355,48 +357,40 @@ def _high_power(ring: RingTable) -> np.ndarray:
     return high
 
 
-def _local_parts(ring: RingTable) -> np.ndarray:
-    """Mask of the x in eR for an atom (primitive idempotent) e.
-
-    For an idempotent e, row e of ``mul`` has eR as its fixed points, and
-    e is an atom iff they hold two idempotents, 0 and e.  The idempotents
-    are the fixed points of the diagonal, read only at those of
-    :func:`_high_power` (e^(2^K) = e): a strided read of all of it is slow.
-    """
-    idx = np.arange(ring.order)
-    fixed = np.flatnonzero(_high_power(ring) == idx)
-    # apart on purpose from maximal_ideals' read (element_classes, _primitive_idempotents)
-    idempotents = fixed[ring.mul.diagonal()[fixed] == fixed]
-    idempotent = np.zeros(ring.order, dtype=bool)
-    idempotent[idempotents] = True
-    parts = np.zeros(ring.order, dtype=bool)
-    for rows in _row_blocks(idempotents.size, ring.order):
-        within = ring.mul.take(idempotents[rows], axis=0) == idx  # eR, one row per e
-        parts |= within[np.count_nonzero(within & idempotent, axis=1) == 2].any(axis=0)
-    return parts
-
-
 @_memo
 def minimal_ideals(ring: RingTable) -> tuple[IdealSet, ...]:
     """All minimal nonzero ideals, in canonical order; a field has only R.
 
-    R is the product of the local rings Re over its atoms e
-    (Atiyah-Macdonald 8.7).  A minimal M lies in the socle S = Ann(N), as
-    NM is an ideal inside M and not M, N being nilpotent.  M = eM for
-    exactly one atom e, the eM being ideals that meet only in 0 and sum
-    to M.  For 0 != x in eS, Rx = (Re)x is killed by Ne, the maximal ideal
-    of Re, so Rx is Re/Ne, a field, as an Re-module: Rx is minimal.  So
-    the candidates, the nonzero x of S in some eR (:func:`_local_parts`),
-    are the nonzero members of the minimal ideals; while one remains, the
-    least, x, gives Rx (row x of ``mul``), whose members are dropped.  S
-    is read off one row of ``mul`` per additive generator of N (from
-    :func:`_high_power`): one row per such generator, per idempotent and
-    per minimal ideal is read in all.
+    R is the product of the local rings Re over its atoms (primitive
+    idempotents) e (Atiyah-Macdonald 8.7).  A minimal M lies in the socle
+    S = Ann(N), as NM is an ideal inside M and not M, N being nilpotent.
+    M = eM for exactly one atom e, the eM being ideals that meet only in
+    0 and sum to M.  The candidates are the nonzero x of S with fx in
+    {0, x} for every idempotent f, which are the nonzero x of S in one
+    Re: write x as the sum of its parts e_i x; if two are nonzero, e_i x
+    is neither 0 nor x, and if x lies in e_i R, fx = (f e_i)x with f e_i
+    an idempotent of the local Re_i, so e_i or 0.  For such an x,
+    Rx = (Re)x is killed by Ne, the maximal ideal of Re, so Rx is Re/Ne,
+    a field, as an Re-module: Rx is minimal.  So the candidates are the
+    nonzero members of the minimal ideals; while one remains, the least,
+    x, gives Rx (row x of ``mul``), whose members are dropped.
+
+    The idempotents are the fixed points of the diagonal, read only at
+    those of :func:`_high_power` (e^(2^K) = e): a strided read of all of
+    it is slow.  S is read off one row of ``mul`` per additive generator
+    of N (from :func:`_high_power`): one row per idempotent, per such
+    generator and per minimal ideal is read in all.
     """
-    candidate = _local_parts(ring)
-    candidate[ring.zero] = False
-    nilpotents = np.flatnonzero(_high_power(ring) == ring.zero)
-    for g in _additive_generators(ring, nilpotents):
+    idx = np.arange(ring.order)
+    high = _high_power(ring)
+    fixed = np.flatnonzero(high == idx)
+    # apart on purpose from maximal_ideals' read (element_classes, _primitive_idempotents)
+    idempotents = fixed[ring.mul.diagonal()[fixed] == fixed]
+    candidate = idx != ring.zero
+    for rows in _row_blocks(idempotents.size, ring.order):
+        block = ring.mul.take(idempotents[rows], axis=0)  # fx, one row per f
+        candidate &= ((block == ring.zero) | (block == idx)).all(axis=0)
+    for g in _additive_generators(ring, np.flatnonzero(high == ring.zero)):
         candidate &= ring.mul[g] == ring.zero
     found = []
     x = int(candidate.argmax())  # the least candidate, if one remains

@@ -18,9 +18,7 @@ from ringlab import (
     element_classes,
     group_ring,
     is_nil_clean_criterion,
-    is_nil_clean_definitional,
     is_nil_neat_criterion,
-    is_nil_neat_definitional,
     is_weakly_nil_clean_definitional,
     is_weakly_nil_neat_definitional,
     jacobson_radical,
@@ -32,6 +30,7 @@ from ringlab import (
     weakly_nil_neat_criterion,
     weakly_nil_neat_group_ring_predicate,
 )
+from ringlab.classify import _definitional_verdicts
 from ringlab.expr import evaluate, parse_ring_expr
 from ringlab.sweep import SweepConfig, _expr_order, group_catalog, ring_catalog, run_sweep
 
@@ -104,7 +103,7 @@ def test_acceptance_5_golden_facts():
     z3z3 = direct_product(z3, z3)
     trivial_checks = [
         is_weakly_nil_clean_definitional(z3).ok,
-        not is_nil_clean_definitional(z3).ok,
+        not _definitional_verdicts(z3)[0].ok,
         not is_weakly_nil_clean_definitional(z3z3).ok,
         is_weakly_nil_neat_definitional(z3z3).ok,
         util.ring_isomorphic(group_ring(z3, make_group([2])).ring, z3z3) is not None,
@@ -122,9 +121,9 @@ def test_acceptance_5_golden_facts():
 def test_acceptance_6_hierarchy_and_disjointness(sweep_report, plain_ring_catalog):
     ok = True
     for ring in plain_ring_catalog:
-        nc = is_nil_clean_definitional(ring).ok
+        nc = _definitional_verdicts(ring)[0].ok
         wnc = is_weakly_nil_clean_definitional(ring).ok
-        nn = is_nil_neat_definitional(ring).ok
+        nn = _definitional_verdicts(ring)[2].ok
         wnn = is_weakly_nil_neat_definitional(ring).ok
         if nc and not (wnc and nn):
             ok = False

@@ -16,9 +16,7 @@ from ringlab import (
     ideal_generated,
     is_field,
     is_nil_clean_criterion,
-    is_nil_clean_definitional,
     is_nil_neat_criterion,
-    is_nil_neat_definitional,
     is_weakly_nil_clean_definitional,
     is_weakly_nil_neat_definitional,
     make_group,
@@ -35,6 +33,7 @@ from ringlab import (
     weakly_nil_neat_criterion,
     weakly_nil_neat_group_ring_predicate,
 )
+from ringlab.classify import _definitional_verdicts
 from ringlab.sweep import SweepConfig, group_catalog, ring_catalog
 
 
@@ -57,9 +56,9 @@ def small_catalog():
 
 
 def test_nil_clean_definitional_examples():
-    assert is_nil_clean_definitional(_z(4)) == (True, None)
-    assert is_nil_clean_definitional(_z(3)) == (False, 2)
-    assert is_nil_clean_definitional(_z(2)) == (True, None)
+    assert _definitional_verdicts(_z(4))[0] == (True, None)
+    assert _definitional_verdicts(_z(3))[0] == (False, 2)
+    assert _definitional_verdicts(_z(2))[0] == (True, None)
 
 
 def test_weakly_nil_clean_definitional_examples():
@@ -72,7 +71,7 @@ def test_weakly_nil_clean_definitional_examples():
 
 def test_zn_definitional_against_integer_oracle():
     for n in range(2, 33):
-        assert is_nil_clean_definitional(_z(n)).ok == util.zn_is_nil_clean(n)
+        assert _definitional_verdicts(_z(n))[0].ok == util.zn_is_nil_clean(n)
         assert is_weakly_nil_clean_definitional(_z(n)).ok == util.zn_is_weakly_nil_clean(n)
 
 
@@ -81,16 +80,16 @@ def test_clean_deciders_match_element_scan_oracle(plain_ring_catalog, sweep_grou
     rings += [evaluate(parse_ring_expr(label))
               for label in ("GR(Z2, C3)/(7)", "GR(Z3, C3)/(13)", "GR(Z9, C3)/(33,97)")]
     for ring in rings:
-        got = (is_nil_clean_definitional(ring), is_weakly_nil_clean_definitional(ring))
+        got = (_definitional_verdicts(ring)[0], is_weakly_nil_clean_definitional(ring))
         assert got == util.clean_verdicts_by_element_scan(ring), ring.label
 
 
 def test_nil_neat_definitional_examples():
-    assert is_nil_neat_definitional(_z(3)).ok  # fields have no proper nonzero quotient
-    verdict = is_nil_neat_definitional(_prod(3, 3))
+    assert _definitional_verdicts(_z(3))[2].ok  # fields have no proper nonzero quotient
+    verdict = _definitional_verdicts(_prod(3, 3))[2]
     assert not verdict.ok
     assert verdict.witness.key == (0, 1, 2)  # first copy of Z3 as an ideal
-    assert is_nil_neat_definitional(_z(4)).ok
+    assert _definitional_verdicts(_z(4))[2].ok
 
 
 def test_weakly_nil_neat_definitional_examples():
@@ -171,8 +170,8 @@ def test_criteria_match_definitional_on_catalog():
     for ring in small_catalog():
         assert weakly_nil_clean_criterion(ring) == is_weakly_nil_clean_definitional(ring).ok
         assert weakly_nil_neat_criterion(ring) == is_weakly_nil_neat_definitional(ring).ok
-        assert is_nil_clean_criterion(ring) == is_nil_clean_definitional(ring).ok
-        assert is_nil_neat_criterion(ring) == is_nil_neat_definitional(ring).ok
+        assert is_nil_clean_criterion(ring) == _definitional_verdicts(ring)[0].ok
+        assert is_nil_neat_criterion(ring) == _definitional_verdicts(ring)[2].ok
 
 
 def test_radicals_agree_on_weakly_nil_clean_rings():
@@ -206,7 +205,7 @@ def test_nil_neat_predicate_does_not_call_its_oracle(monkeypatch):
     def refused(ring):
         raise AssertionError("the predicate must not call the definitional decider")
 
-    monkeypatch.setattr(ringlab.classify, "is_nil_neat_definitional", refused)
+    monkeypatch.setattr(ringlab.classify, "_definitional_verdicts", refused)
     trivial = make_group([])
     assert nil_neat_group_ring_predicate(_z(3), trivial)
     assert nil_neat_group_ring_predicate(_z(4), trivial)
@@ -216,8 +215,8 @@ def test_nil_neat_predicate_does_not_call_its_oracle(monkeypatch):
 def test_nil_group_ring_predicates_match_definitional_on_sweep(sweep_group_rings):
     nil_clean = nil_neat = 0
     for view in sweep_group_rings:
-        nc = is_nil_clean_definitional(view.ring).ok
-        nn = is_nil_neat_definitional(view.ring).ok
+        nc = _definitional_verdicts(view.ring)[0].ok
+        nn = _definitional_verdicts(view.ring)[2].ok
         assert nil_clean_group_ring_predicate(view.base, view.group) == nc, view.ring.label
         assert nil_neat_group_ring_predicate(view.base, view.group) == nn, view.ring.label
         nil_clean += nc
@@ -268,13 +267,11 @@ def test_neat_deciders_match_full_lattice_scan(plain_ring_catalog, sweep_group_r
     for label in ("Z2 x Z2 x Z2 x Z2 x Z2 x Z2", "Z9 x Z3"):
         rings.append(evaluate(parse_ring_expr(label)))
     for ring in rings:
-        for neat, clean in (
-            (is_nil_neat_definitional, is_nil_clean_definitional),
-            (is_weakly_nil_neat_definitional, is_weakly_nil_clean_definitional),
-        ):
-            verdict = neat(ring)
+        for neat, clean in ((2, 0), (3, 1)):  # nil-neat by nil-clean, weakly so by weakly so
+            verdict = _definitional_verdicts(ring)[neat]
             got = (verdict.ok, None if verdict.witness is None else verdict.witness.key)
-            assert got == _quotient_verdict_by_lattice(ring, clean), (ring.label, neat.__name__)
+            want = _quotient_verdict_by_lattice(ring, lambda q: _definitional_verdicts(q)[clean])
+            assert got == want, (ring.label, neat)
 
 
 def test_neat_deciders_match_quotient_scan():
@@ -287,14 +284,14 @@ def test_neat_deciders_match_quotient_scan():
     for base, group in pairs:
         ring = group_ring(base, group).ring
         want = util.neat_verdicts_by_quotients(ring)
-        assert (is_nil_neat_definitional(ring), is_weakly_nil_neat_definitional(ring)) == want, ring.label
+        assert (_definitional_verdicts(ring)[2], is_weakly_nil_neat_definitional(ring)) == want, ring.label
 
 
 def test_hierarchy_on_catalog():
     for ring in small_catalog():
-        nc = is_nil_clean_definitional(ring).ok
+        nc = _definitional_verdicts(ring)[0].ok
         wnc = is_weakly_nil_clean_definitional(ring).ok
-        nn = is_nil_neat_definitional(ring).ok
+        nn = _definitional_verdicts(ring)[2].ok
         wnn = is_weakly_nil_neat_definitional(ring).ok
         if nc:
             assert wnc and nn

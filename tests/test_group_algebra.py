@@ -22,7 +22,7 @@ from ringlab import (
     nilradical,
     parse_ring_expr,
 )
-from ringlab import group_algebra
+from ringlab import DisagreementError, group_algebra, rings
 from ringlab.expr import evaluate
 from ringlab.group_algebra import AbelianGroup
 from ringlab.sweep import group_catalog
@@ -225,6 +225,30 @@ def test_group_ring_matches_full_convolution(sweep_group_rings):
         for got, want in ((view.ring.add, ring.add), (view.ring.mul, ring.mul)):
             assert got.dtype == want.dtype and np.array_equal(got, want), ring.label
         assert (view.ring.zero, view.ring.one, view.ring.label) == (ring.zero, ring.one, ring.label)
+
+
+@pytest.mark.parametrize("units, unwritten", [
+    ({1, 2}, 12), ({1, 2, 4}, 15), ({2}, 21), ({1, 2, 3, 4, 5, 7, 8}, 27),
+    ({1, 8}, 0),  # the subgroup +-1: fewer rows are read off each orbit's least member, all written
+])
+def test_group_ring_raises_on_rows_left_unwritten(monkeypatch, units, unwritten):
+    # row t r = row r at the columns t y for any t; only which rows the
+    # trivial units reach depends on R's units, so wrong units either
+    # leave the tables honest or make the build raise
+    base, group = make_zmod(9), make_group([2])
+    honest = group_ring(base, group).ring
+
+    def wrong_units(r):
+        classes = element_classes(r)
+        return rings.ElementClasses(classes.nilpotents, classes.idempotents, np.isin(np.arange(r.order), list(units)))
+
+    monkeypatch.setattr(group_algebra, "element_classes", wrong_units)
+    if unwritten:
+        with pytest.raises(DisagreementError, match=rf"GR\(Z9, C2\): {unwritten} of 81 rows of mul left unwritten"):
+            group_ring(base, group)
+    else:
+        ring = group_ring(base, group).ring
+        assert np.array_equal(ring.add, honest.add) and np.array_equal(ring.mul, honest.mul)
 
 
 class _TakeSpy:

@@ -1,7 +1,10 @@
 """Ideal lattice, quotients and radicals."""
 
+import math
 import tracemalloc
 from dataclasses import replace
+from functools import reduce
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -325,6 +328,24 @@ def test_minimal_ideals_match_rank_rule_beyond_the_lattice_cap(text):
     assert [m.key for m in minimal_ideals(ring)] == util.minimal_ideals_by_rank(ring)
 
 
+def test_minimal_ideals_match_rank_rule_on_products_of_local_rings():
+    # every product of 2 or 3 local rings, repeats allowed, up to order
+    # 1024: repeated residue fields, and socle elements spread over
+    # several factors, which some idempotent neither fixes nor kills
+    local = [evaluate(parse_ring_expr(text)) for text in (
+        "Z2", "Z4", "Z8", "Z3", "Z9", "Z5", "Z7", "GR(Z2, C3)/(7)", "GR(Z3, C3)/(13)",
+        "GR(Z2, C2)", "GR(Z3, C3)", "GR(Z9, C3)/(33,97)",
+    )]
+    checked = 0
+    for k in (2, 3):
+        for factors in combinations_with_replacement(local, k):
+            if math.prod(r.order for r in factors) <= 1024:
+                ring = reduce(direct_product, factors)
+                assert [m.key for m in minimal_ideals(ring)] == util.minimal_ideals_by_rank(ring), ring.label
+                checked += 1
+    assert checked == 382
+
+
 def test_minimal_generators_match_regeneration(ideal_test_rings):
     for ring in ideal_test_rings:
         for ideal in enumerate_ideals(ring, cap=ring.order):
@@ -489,10 +510,11 @@ def _rows_before_the_walk(ring) -> list[int]:
 
 @pytest.mark.parametrize("text", ["GR(Z2 x Z3, C2)", "GR(Z9, C2)"])
 def test_minimal_and_maximal_ideals_read_idempotents_apart(monkeypatch, text):
-    # minimal ideals split the socle by their own atoms (ideals._local_parts),
-    # maximal ideals by element_classes and _primitive_idempotents, so a
-    # fault in either read leaves the other side as it was
-    honest, wrong_classes, wrong_atoms = (evaluate(parse_ring_expr(text)) for _ in range(3))
+    # minimal ideals read the idempotents off their own tower
+    # (ideals._high_power), maximal ideals off element_classes and
+    # _primitive_idempotents, so a fault in either read leaves the other
+    # side as it was
+    honest, wrong_classes, wrong_idempotents = (evaluate(parse_ring_expr(text)) for _ in range(3))
     want_min, want_max, want_j = minimal_ideals(honest), maximal_ideals(honest), jacobson_radical(honest)
     want_verdicts = classify._definitional_verdicts(honest)
     assert len(want_max) > 1
@@ -509,9 +531,20 @@ def test_minimal_and_maximal_ideals_read_idempotents_apart(monkeypatch, text):
     assert classify._definitional_verdicts(wrong_classes) == want_verdicts
     monkeypatch.undo()
 
-    monkeypatch.setattr(ideals, "_local_parts", lambda r: np.ones(r.order, dtype=bool))
-    assert minimal_ideals(wrong_atoms) != want_min  # the fault reached the minimal ideals
-    assert maximal_ideals(wrong_atoms) == want_max and jacobson_radical(wrong_atoms) == want_j
+    honest_high = ideals._high_power
+
+    def only_trivial_idempotents_fixed(r):
+        # every idempotent but 0 and 1 is sent to 1, so it is no fixed
+        # point; the nilpotents, and so N, are as before
+        high = honest_high(r).copy()
+        idempotent = np.asarray(r.mul).diagonal() == np.arange(r.order)
+        idempotent[[r.zero, r.one]] = False
+        high[idempotent] = r.one
+        return high
+
+    monkeypatch.setattr(ideals, "_high_power", only_trivial_idempotents_fixed)
+    assert minimal_ideals(wrong_idempotents) != want_min  # the fault reached the minimal ideals
+    assert maximal_ideals(wrong_idempotents) == want_max and jacobson_radical(wrong_idempotents) == want_j
 
 
 @pytest.mark.parametrize("text, socle", [

@@ -15,7 +15,6 @@ from ringlab import (
     enumerate_ideals,
     evaluate,
     group_ring,
-    is_nil_neat_definitional,
     is_weakly_nil_neat_definitional,
     jacobson_radical,
     karpilovsky_radical,
@@ -170,7 +169,7 @@ def test_weakly_nil_clean_criterion_is_derived_once_per_ring(monkeypatch):
     assert calls == [base]
 
 
-@pytest.mark.parametrize("decide", [classify_ring, is_nil_neat_definitional, is_weakly_nil_neat_definitional])
+@pytest.mark.parametrize("decide", [classify_ring, classify._definitional_verdicts, is_weakly_nil_neat_definitional])
 @pytest.mark.parametrize("label", ["Z2 x Z2 x Z2 x Z2 x Z2 x Z2", "Z9 x Z3"])
 def test_neat_verdicts_build_no_ring(monkeypatch, label, decide):
     # each R/M is scanned on R's cosets of M, and the criteria read the
@@ -207,7 +206,7 @@ def test_memo_holds_no_reference_to_the_ring():
     ring = view.ring
     before = sys.getrefcount(ring), sys.getrefcount(base)
     derived = (classify_ring, maximal_ideals, minimal_ideals, nilradical, jacobson_radical,
-               enumerate_ideals, is_nil_neat_definitional, is_weakly_nil_neat_definitional)
+               enumerate_ideals, classify._definitional_verdicts, is_weakly_nil_neat_definitional)
     for fact in derived:
         fact(ring)
         fact(base)
