@@ -48,9 +48,9 @@ def is_sweep_verdict(value) -> bool:
 
 
 class VerdictCache:
-    def __init__(self, path: str | os.PathLike, *, version: str = __version__):
+    def __init__(self, path: str | os.PathLike):
         self.path = Path(path)
-        self.version = version
+        self.version = __version__
         self._entries: dict[str, object] = {}
         self._pending: list[str] | None = None  # lines held by an open batch
         self._load()
@@ -104,9 +104,6 @@ class VerdictCache:
     def _append(self, lines: list[str]) -> None:
         with self.path.open("a") as fh:
             fh.write("".join(lines))
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
 
 def cache_from_env(flag_path: str | None, *, disabled: bool = False) -> VerdictCache | None:

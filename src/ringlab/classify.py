@@ -93,8 +93,8 @@ def _definitional_verdicts(ring: RingTable) -> tuple[Verdict, Verdict, Verdict, 
     pass stops at the first R/M that is not weakly nil-clean, which is
     not nil-clean either.  No quotient ring is built.
     """
-    # its own maps: element_classes' nilpotency tower and _shape_mod's x^2 - x
-    # count feed the structural criteria, and the two derivations share no code
+    # its own maps: element_classes' nilpotency tower and _radical_shapes' x^2 - x
+    # map feed the structural criteria, and the two derivations share no code
     high = _high_power(ring)
     sq_minus = ring.add[ring.mul.diagonal(), ring.neg]
     zero = IdealSet(ring, [ring.zero], validate=False)
@@ -121,9 +121,9 @@ def is_weakly_nil_neat_definitional(ring: RingTable) -> Verdict:
     return _definitional_verdicts(ring)[3]
 
 
-def _shape_mod(ring: RingTable, ideal: IdealSet) -> tuple[bool, bool]:
+def _shape_mod(sq_minus: np.ndarray, ideal: IdealSet) -> tuple[bool, bool]:
     """(R/I boolean, R/I boolean or Z3 or boolean x Z3) for a proper ideal
-    I, read off two counts without building R/I.
+    I, read off two counts without building R/I; ``sq_minus`` maps x to x^2 - x.
 
     R/I has order q = |R|/|I| and e = #{x : x^2 - x in I}/|I|
     idempotents.  A finite commutative ring with k local factors has 2^k
@@ -131,18 +131,18 @@ def _shape_mod(ring: RingTable, ideal: IdealSet) -> tuple[bool, bool]:
     It is Z3 or boolean x Z3 iff 2q == 3e: the k local orders, each a
     prime power, then multiply to 3 * 2^(k-1), so one is 3 and the rest 2.
     """
-    # the criteria's own x^2 - x, apart from the scan's map (_definitional_verdicts)
-    member = np.zeros(ring.order, dtype=bool)
+    member = np.zeros(ideal.order, dtype=bool)
     member[ideal.members] = True
-    q = ring.order // len(ideal)
-    e = int(np.count_nonzero(member[ring.add[ring.mul.diagonal(), ring.neg]])) // len(ideal)
+    q = ideal.order // len(ideal)
+    e = int(np.count_nonzero(member[sq_minus])) // len(ideal)
     return e == q, 2 * q in (2 * e, 3 * e)
 
 
 @_memo
 def _radical_shapes(ring: RingTable) -> tuple[tuple[bool, bool], tuple[bool, bool]]:
-    """:func:`_shape_mod` of R/N(R) and of R/J(R)."""
-    return _shape_mod(ring, nilradical(ring)), _shape_mod(ring, jacobson_radical(ring))
+    """:func:`_shape_mod` of R/N(R) and R/J(R), from one x^2 - x map, apart from the scan's own."""
+    sq_minus = ring.add[ring.mul.diagonal(), ring.neg]
+    return _shape_mod(sq_minus, nilradical(ring)), _shape_mod(sq_minus, jacobson_radical(ring))
 
 
 @_memo

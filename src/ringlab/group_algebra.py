@@ -31,6 +31,7 @@ from .rings import (
     CapExceeded,
     DisagreementError,
     RingTable,
+    _as_int,
     _product_table,
     _row_blocks,
     _table_dtype,
@@ -61,10 +62,9 @@ class AbelianGroup:
     __slots__ = ("factors",)
 
     def __init__(self, factors: Sequence[int]):
-        factors = tuple(int(d) for d in factors)
+        factors = tuple(_as_int(d, "factors") for d in factors)
         for d in factors:
-            f = _factorint(d)
-            if d < 2 or len(f) != 1:
+            if d < 2 or len(_factorint(d)) != 1:
                 raise ValueError(f"factor {d} is not a prime power; build groups with make_group")
         key = [(min(_factorint(d)), d) for d in factors]
         if key != sorted(key):
@@ -128,7 +128,7 @@ def make_group(orders: Iterable[int]) -> AbelianGroup:
     """
     factors: list[int] = []
     for d in orders:
-        d = int(d)
+        d = _as_int(d, "cyclic factor orders")
         if d < 1:
             raise ValueError("cyclic factor orders must be >= 1")
         for p, e in _factorint(d).items():

@@ -2,27 +2,26 @@
 
 The whole module is brute force by design: principal ideals are rows
 of the multiplication table, and every ideal is a sum of principal
-ones, built one summand at a time by a single walk that serves both
-:func:`ideal_generated` and the minimal generators naming a quotient.
+ones.  :func:`ideal_generated` and the minimal generators naming a
+quotient add one summand at a time (:func:`_span`); the lattice walk
+joins each ideal I once per other coset x + I, as I + Rx = I + Ry
+whenever x - y lies in I (:func:`enumerate_ideals`).
 A validated :class:`IdealSet` is checked from a few additive generators
 of it, one row of ``add`` and of ``mul`` each, on the ring axioms (see
-:func:`_check_ideal`).
-:func:`quotient_ring` is the one quotient constructor.  It returns the
-table ring R/I, whose cosets are indexed in the order of their least
-members; it builds no projection object.  Maximal ideals are not read off
-the ideal lattice: a finite commutative ring is the product of
-the local rings Re over its primitive idempotents e, so each maximal
-ideal is read off one primitive idempotent and the units (see
-:func:`maximal_ideals`), and the Jacobson radical is a literal
-intersection of those maximal ideals.  Minimal ideals are the Rx for
-the nonzero x of the socle Ann(N) that every idempotent fixes or kills,
-which are those in one local factor Re, also without the lattice: one
-row of ``mul`` per idempotent and per minimal ideal (see
-:func:`minimal_ideals`).
-The lattice, these ideals and both radicals are memoized on the ring
-as the :class:`IdealSet` objects callers receive (see
-:mod:`ringlab.rings`).  Everything is deterministic; ideal tuples are
-always sorted by size and then lexicographically by member list.
+:func:`_check_ideal`).  :func:`quotient_ring` is the one quotient
+constructor: it returns the table ring R/I, whose cosets are indexed in
+the order of their least members.  Maximal ideals are not read off the
+lattice: a finite commutative ring is the product of the local rings Re
+over its primitive idempotents e, so each maximal ideal is read off one
+primitive idempotent and the units (:func:`maximal_ideals`), and the
+Jacobson radical is a literal intersection of those maximal ideals.
+Nor are minimal ideals: they are the Rx for the nonzero x of the socle
+Ann(N) that every idempotent fixes or kills, one row of ``mul`` per
+idempotent and per minimal ideal (:func:`minimal_ideals`).  The
+lattice, these ideals and both radicals are memoized on the ring as the
+:class:`IdealSet` objects callers receive (see :mod:`ringlab.rings`).
+Everything is deterministic; ideal tuples are always sorted by size and
+then lexicographically by member list.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from .rings import (
     CapExceeded,
     DisagreementError,
     RingTable,
+    _as_int,
     _gather,
     _memo,
     _row_blocks,
@@ -190,7 +190,7 @@ def _span(ring: RingTable, candidates) -> tuple[np.ndarray, list[int]]:
 
 def ideal_generated(ring: RingTable, gens) -> IdealSet:
     """Least ideal containing ``gens``: the sum of the principal ideals Rg."""
-    gens = [int(g) for g in gens]  # range-checked before int64 can overflow
+    gens = [_as_int(g, "generators") for g in gens]  # range-checked before int64 can overflow
     bad = [g for g in gens if not 0 <= g < ring.order]
     if bad:
         raise ValueError(f"generator {bad[0]} is not an element index of {ring.label} (order {ring.order})")
@@ -213,10 +213,10 @@ def enumerate_ideals(ring: RingTable, *, cap: int = DEFAULT_IDEAL_CAP) -> tuple[
     """The complete ideal lattice.
 
     Walks a queue that starts as the distinct principal ideals (R*0 is
-    the zero ideal) and appends every new sum I + P of a queued I and a
-    principal P.  Every ideal is a sum P1 + ... + Pk of principal ideals
-    and each partial sum reaches the queue, so the walk ends with the
-    full lattice.
+    the zero ideal) and appends every new sum I + Rx, so every ideal, a
+    sum of principal ones, reaches it.  As I + Rx = I + Ry when x - y is
+    in I, each queued I is joined once per coset x + I other than I, at
+    the least generator x of a principal ideal: |R|/|I| - 1 joins at most.
     """
     n = ring.order
     if n > cap:
@@ -226,26 +226,22 @@ def enumerate_ideals(ring: RingTable, *, cap: int = DEFAULT_IDEAL_CAP) -> tuple[
 
 @_memo
 def _lattice(ring: RingTable) -> tuple[IdealSet, ...]:
-    n = ring.order
     known: dict[bytes, np.ndarray] = {}
-    for x in range(n):
+    principal: dict[int, np.ndarray] = {}  # Rx by its least generator x
+    for x in range(ring.order):
         p = _principal(ring, x)
-        known.setdefault(p.tobytes(), p)
-    principal = list(known.values())
-    masks = np.zeros((len(principal), n), dtype=bool)
-    for row, p in zip(masks, principal):
-        row[p] = True
-    sizes = masks.sum(axis=1)
-    queue = list(principal)  # grows while it is walked
+        if known.setdefault(p.tobytes(), p) is p:
+            principal[x] = p
+    queue = list(principal.values())  # grows while it is walked
     for ideal in queue:
-        common = masks[:, ideal].sum(axis=1)  # |P & I| for each principal P
-        # P inside I or I inside P: the sum is I or P, both already known
-        for k in np.flatnonzero((common < sizes) & (common < ideal.size)):
-            joined = _ideal_sum(ring, ideal, principal[k])
-            key = joined.tobytes()
-            if key not in known:
-                known[key] = joined
-                queue.append(joined)
+        met = np.zeros(ring.order, dtype=bool)
+        met[ideal] = True
+        for x, p in principal.items():
+            if not met[x]:
+                met[ring.add[x].take(ideal)] = True  # the coset x + I
+                joined = _ideal_sum(ring, ideal, p)
+                if known.setdefault(joined.tobytes(), joined) is joined:
+                    queue.append(joined)
     return _in_canonical_order(ring, known.values())
 
 

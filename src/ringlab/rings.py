@@ -70,6 +70,13 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _as_int(value, what: str) -> int:
+    """``value`` as an int, if it is an int or a numpy integer and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be integers, not {type(value).__name__}")
+    return int(value)
+
+
 class RingTable:
     """A finite commutative unital ring given by explicit index tables.
 

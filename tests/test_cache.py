@@ -23,47 +23,49 @@ def test_put_get_round_trip(tmp_path):
     assert reloaded.get("GR(Z3, C2)|weakly_nil_neat") == YES
 
 
-def test_version_bump_invalidates(tmp_path):
+def test_version_bump_invalidates(tmp_path, monkeypatch):
     path = tmp_path / "cache.jsonl"
-    VerdictCache(path, version="0.0.1").put("k", NO)
-    assert VerdictCache(path, version="0.0.2").get("k") is None
-    assert VerdictCache(path, version="0.0.1").get("k") == NO
+    monkeypatch.setattr("ringlab.cache.__version__", "0.0.1")
+    VerdictCache(path).put("k", NO)
+    monkeypatch.setattr("ringlab.cache.__version__", "0.0.2")
+    assert VerdictCache(path).get("k") is None
+    monkeypatch.setattr("ringlab.cache.__version__", "0.0.1")
+    assert VerdictCache(path).get("k") == NO
 
 
 def test_corrupt_middle_line_is_skipped(tmp_path):
     path = tmp_path / "cache.jsonl"
-    cache = VerdictCache(path, version="v")
+    cache = VerdictCache(path)
     cache.put("a", YES)
     with path.open("a") as fh:
         fh.write("{this is not json\n")
     cache.put("b", NO)
     with pytest.warns(UserWarning):
-        reloaded = VerdictCache(path, version="v")
+        reloaded = VerdictCache(path)
     assert reloaded.get("a") == YES
     assert reloaded.get("b") == NO
 
 
 def test_undecodable_line_is_skipped(tmp_path):
     path = tmp_path / "cache.jsonl"
-    valid = json.dumps({"key": "a", "version": "v", "value": YES})
+    valid = json.dumps({"key": "a", "version": __version__, "value": YES})
     path.write_bytes(b"\xff{}\n" + valid.encode() + b"\n")
     with pytest.warns(UserWarning, match="corrupt cache line 1 "):
-        reloaded = VerdictCache(path, version="v")
-    assert len(reloaded) == 1 and reloaded.get("a") == YES
+        reloaded = VerdictCache(path)
+    assert reloaded.get("a") == YES
 
 
 def test_missing_file_reads_empty(tmp_path):
     cache = VerdictCache(tmp_path / "absent.jsonl")
     assert cache.get("anything") is None
-    assert len(cache) == 0
 
 
 def test_last_entry_wins(tmp_path):
     path = tmp_path / "cache.jsonl"
-    cache = VerdictCache(path, version="v")
+    cache = VerdictCache(path)
     cache.put("k", YES)
     cache.put("k", NO)
-    assert VerdictCache(path, version="v").get("k") == NO
+    assert VerdictCache(path).get("k") == NO
     assert len(path.read_text().splitlines()) == 2  # append-only
 
 
@@ -85,7 +87,7 @@ def test_cache_entries_are_json_lines(tmp_path):
     assert set(record) == {"key", "version", "value"}
 
 
-def test_wrongly_shaped_values_are_skipped(tmp_path):
+def test_wrongly_shaped_values_are_skipped(tmp_path, monkeypatch):
     path = tmp_path / "cache.jsonl"
     good = NO
     bad_values = [
@@ -101,20 +103,21 @@ def test_wrongly_shaped_values_are_skipped(tmp_path):
         {"wnn": {"ok": False, "witness": [-1, 3]}, "wnc": {"ok": True, "witness": None}},
         {"wnn": {"ok": True, "witness": None}, "wnc": {"ok": False, "witness": -7}},
     ]
-    writer = VerdictCache(path, version="v")
+    writer = VerdictCache(path)
     writer.put("good", good)
     for i, value in enumerate(bad_values):
         writer.put(f"bad{i}", value)
     with path.open("a") as fh:
-        fh.write(json.dumps({"key": ["not", "a", "string"], "version": "v", "value": good}) + "\n")
+        fh.write(json.dumps({"key": ["not", "a", "string"], "version": __version__, "value": good}) + "\n")
     with pytest.warns(UserWarning) as caught:
-        reloaded = VerdictCache(path, version="v")
+        reloaded = VerdictCache(path)
     assert len(caught) == len(bad_values) + 1
     assert reloaded.get("good") == good
-    assert len(reloaded) == 1
+    assert all(reloaded.get(f"bad{i}") is None for i in range(len(bad_values)))
     # other versions are misses anyway, so only the bad key is reported
+    monkeypatch.setattr("ringlab.cache.__version__", "w")
     with pytest.warns(UserWarning) as caught:
-        assert len(VerdictCache(path, version="w")) == 0
+        assert VerdictCache(path).get("good") is None
     assert len(caught) == 1
 
 

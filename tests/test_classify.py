@@ -116,9 +116,10 @@ def _split_search_shape(ring):
 
 def test_shape_counts_match_split_search_on_every_quotient(plain_ring_catalog):
     for ring in small_catalog() + list(plain_ring_catalog):
+        sq_minus = ring.add[ring.mul.diagonal(), ring.neg]
         for ideal in enumerate_ideals(ring, cap=ring.order):
             if not ideal.is_whole:
-                got = ringlab.classify._shape_mod(ring, ideal)
+                got = ringlab.classify._shape_mod(sq_minus, ideal)
                 assert got == _split_search_shape(quotient_ring(ring, ideal)), (ring.label, ideal)
 
 
@@ -136,7 +137,8 @@ def test_shape_counts_on_examples():
     for label, shape in examples.items():
         ring = evaluate(parse_ring_expr(label))
         assert util.peirce_shape(ring) == shape, label
-        got = ringlab.classify._shape_mod(ring, ideal_generated(ring, ()))
+        sq_minus = ring.add[ring.mul.diagonal(), ring.neg]
+        got = ringlab.classify._shape_mod(sq_minus, ideal_generated(ring, ()))
         assert got == _split_search_shape(ring), label
 
 

@@ -44,6 +44,22 @@ def test_abelian_group_rejects_non_canonical():
         AbelianGroup([4, 2])  # out of (prime, exponent) order
 
 
+@pytest.mark.parametrize("build, orders, bad", [
+    (make_group, [2.5], "float"),
+    (make_group, [True, 3], "bool"),
+    (make_group, ["6"], "str"),
+    (AbelianGroup, [2.0], "float"),
+    (AbelianGroup, [True], "bool"),
+    (AbelianGroup, ["3"], "str"),
+], ids=["make_group-float", "make_group-bool", "make_group-str",
+        "AbelianGroup-float", "AbelianGroup-bool", "AbelianGroup-str"])
+def test_groups_reject_non_integer_orders(build, orders, bad):
+    # int() would read [2.5] as C2, [True, 3] as C3 and ["3"] as C3
+    with pytest.raises(ValueError, match=f"must be integers, not {bad}$"):
+        build(orders)
+    assert build([np.int64(2), np.uint8(3)]).factors == (2, 3)
+
+
 def test_is_p_group_and_trivial():
     assert make_group([2, 2]).is_p_group(2)
     assert not make_group([6]).is_p_group(2)

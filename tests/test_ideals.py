@@ -44,6 +44,14 @@ def test_ideal_generated_examples():
     assert ideal_generated(z6, {1}).key == tuple(range(6))
 
 
+@pytest.mark.parametrize("gen", [2.7, True, "3"], ids=["float", "bool", "str"])
+def test_ideal_generated_rejects_non_integer_generators(gen):
+    z12 = make_zmod(12)
+    with pytest.raises(ValueError, match=f"^generators must be integers, not {type(gen).__name__}$"):
+        ideal_generated(z12, [gen])  # int() would read them as (2), R and (3)
+    assert ideal_generated(z12, [np.int16(3), np.uint8(6)]).key == (0, 3, 6, 9)
+
+
 def test_ideal_set_rejects_non_ideal():
     z6 = make_zmod(6)
     with pytest.raises(ValueError):
@@ -181,6 +189,19 @@ def test_enumerate_ideals_examples():
     for p in (3, 5, 7):
         field = make_zmod(p)
         assert [len(i) for i in enumerate_ideals(field)] == [1, p]
+
+
+@pytest.mark.parametrize("label, joins", [(" x ".join(["Z2"] * 6), 665), ("GR(Z4, C2 x C2)", 411)],
+                         ids=["Z2^6", "GR(Z4, C2 x C2)"])
+def test_lattice_joins_each_queued_ideal_once_per_other_coset(monkeypatch, label, joins):
+    # joining each ideal with every principal ideal not comparable to it makes 2702 and 602
+    ring = evaluate(parse_ring_expr(label))  # a fresh ring, its lattice not yet memoized
+    calls = []
+    real_sum = ideals._ideal_sum
+    monkeypatch.setattr(ideals, "_ideal_sum", lambda *args: calls.append(args) or real_sum(*args))
+    lattice = enumerate_ideals(ring)
+    assert len(calls) <= sum(ring.order // len(ideal) - 1 for ideal in lattice)
+    assert len(calls) == joins  # Z2^6: every element is a least generator, so the bound is met
 
 
 def test_enumerate_ideals_cap():
