@@ -26,7 +26,6 @@ from .ideals import (
     IdealSet,
     enumerate_ideals,
     ideal_generated,
-    is_field,
     jacobson_radical,
     maximal_ideals,
     minimal_ideals,
@@ -82,7 +81,6 @@ __all__ = [
     "IdealSet",
     "enumerate_ideals",
     "ideal_generated",
-    "is_field",
     "jacobson_radical",
     "maximal_ideals",
     "minimal_ideals",

@@ -10,16 +10,18 @@ Four properties of a finite commutative ring R:
   the whole ring is the zero ring and counts as vacuously nil-clean.
 
 Each property gets a definitional brute-force decider and a structural
-criterion in terms of radicals and residue fields; the criteria read the
-shapes of R/N and R/J off two counts, once per ring, and build neither
-quotient.  One scan gives all four definitional verdicts, each a
+criterion in terms of radicals and residue fields, and one memo per
+side gives that side's four verdicts, each at most once per ring.
+:func:`_definitional_verdicts` scans images of R: the clean properties
+are about R itself, the image R/0, and the neat ones about R/M for the
+minimal nonzero ideals M, each image read on R's own cosets by one
+function, so no quotient ring is built.  Each verdict is a
 :class:`Verdict`; the weakly nil-clean and weakly nil-neat ones are also
-public deciders, which the sweep calls.  Every property is a statement about images of R: the
-clean ones about R itself, the image R/0, and the neat ones about R/M
-for the minimal nonzero ideals M.  One function reads each such image
-on R's own cosets and builds no quotient ring.  :func:`classify_ring`
-always runs both derivations and raises :class:`DisagreementError` on
-a mismatch.
+public deciders, which the sweep calls.  :func:`_criteria` reads the
+residue orders, N, J and the shapes of R/N and R/J, the shapes off two
+counts, and builds neither quotient; the four public criteria read it.
+The two sides share no code.  :func:`classify_ring` always runs both
+and raises :class:`DisagreementError` on a mismatch.
 
 The group-ring predicates decide the same properties for RG directly
 from (R, G) without building RG, so sweeping them against the
@@ -38,7 +40,6 @@ from .ideals import (
     IdealSet,
     _coset_map,
     _high_power,
-    is_field,
     jacobson_radical,
     maximal_ideals,
     minimal_ideals,
@@ -93,7 +94,7 @@ def _definitional_verdicts(ring: RingTable) -> tuple[Verdict, Verdict, Verdict, 
     pass stops at the first R/M that is not weakly nil-clean, which is
     not nil-clean either.  No quotient ring is built.
     """
-    # its own maps: element_classes' nilpotency tower and _radical_shapes' x^2 - x
+    # its own maps: element_classes' nilpotency tower and _criteria's x^2 - x
     # map feed the structural criteria, and the two derivations share no code
     high = _high_power(ring)
     sq_minus = ring.add[ring.mul.diagonal(), ring.neg]
@@ -139,22 +140,52 @@ def _shape_mod(sq_minus: np.ndarray, ideal: IdealSet) -> tuple[bool, bool]:
 
 
 @_memo
-def _radical_shapes(ring: RingTable) -> tuple[tuple[bool, bool], tuple[bool, bool]]:
-    """:func:`_shape_mod` of R/N(R) and R/J(R), from one x^2 - x map, apart from the scan's own."""
+def _criteria(ring: RingTable) -> tuple[bool, bool, bool, bool]:
+    """The four structural verdicts in :data:`PROPERTIES` order, read off
+    the residue orders |R/M|, N, J and the shapes of R/N and R/J.
+
+    The shapes come from :func:`_shape_mod` on one x^2 - x map, so no
+    quotient is built.  R is a field iff its residue orders are exactly
+    (|R|,), its one maximal ideal being 0.  Finite rings are
+    zero-dimensional, so R is weakly nil-clean iff three independent
+    sub-checks hold: residue fields from the primitive idempotents, R/N
+    from the nilpotent scan, J from the maximal ideals.  A mismatch
+    raises :class:`DisagreementError`; it is not memoized, so it raises
+    on every call, from every public criterion.
+    """
+    # its own x^2 - x map: _definitional_verdicts forms another, and the
+    # two derivations share no code
     sq_minus = ring.add[ring.mul.diagonal(), ring.neg]
-    return _shape_mod(sq_minus, nilradical(ring)), _shape_mod(sq_minus, jacobson_radical(ring))
-
-
-@_memo
-def _residue_orders(ring: RingTable) -> tuple[int, ...]:
-    """Orders of the residue fields R/M, ascending."""
-    return tuple(sorted(ring.order // len(m) for m in maximal_ideals(ring)))
+    jacobson = jacobson_radical(ring)
+    boolean_mod_n, weak_mod_n = _shape_mod(sq_minus, nilradical(ring))
+    boolean_mod_j, weak_mod_j = _shape_mod(sq_minus, jacobson)
+    residue_orders = tuple(sorted(ring.order // len(m) for m in maximal_ideals(ring)))
+    field = residue_orders == (ring.order,)
+    # weakly nil-clean: all residue fields Z2 with at most one Z3; R/N
+    # boolean, Z3 or boolean x Z3; J nil with R/J of that shape
+    by_residues = all(s in (2, 3) for s in residue_orders) and residue_orders.count(3) <= 1
+    by_jacobson = bool(element_classes(ring).nilpotents[jacobson.members].all()) and weak_mod_j
+    if not (by_residues == weak_mod_n == by_jacobson):
+        raise DisagreementError(
+            f"weakly-nil-clean sub-checks disagree on {ring.label}: "
+            f"residues={by_residues} mod-N={weak_mod_n} mod-J={by_jacobson}"
+        )
+    if not jacobson.is_zero:
+        weakly_nil_neat = weak_mod_j
+    else:  # the product of its residue fields (see weakly_nil_neat_criterion)
+        weakly_nil_neat = field or by_residues or residue_orders == (3, 3)
+    return boolean_mod_n, by_residues, field or boolean_mod_j, weakly_nil_neat
 
 
 def is_nil_clean_criterion(ring: RingTable) -> bool:
-    """Structural test: R is nil-clean iff R/N(R) is boolean, read off
-    two counts by :func:`_shape_mod` without building R/N."""
-    return _radical_shapes(ring)[0][0]
+    """Structural test: R is nil-clean iff R/N(R) is boolean."""
+    return _criteria(ring)[0]
+
+
+def weakly_nil_clean_criterion(ring: RingTable) -> bool:
+    """Structural test: three independent sub-checks, which must agree
+    (see :func:`_criteria`)."""
+    return _criteria(ring)[1]
 
 
 def is_nil_neat_criterion(ring: RingTable) -> bool:
@@ -164,43 +195,9 @@ def is_nil_neat_criterion(ring: RingTable) -> bool:
     (hence boolean, being semiprimitive); with J zero the ring is a
     product of residue fields and every proper subproduct must be
     boolean, which forces all factors to be Z2 unless there is only one
-    factor.  R/J's shape is read off two counts by :func:`_shape_mod`,
-    without building R/J.  Cross-checked against the definitional
-    decider in tests.
+    factor.  Cross-checked against the definitional decider in tests.
     """
-    return is_field(ring) or _radical_shapes(ring)[1][0]
-
-
-@_memo
-def weakly_nil_clean_criterion(ring: RingTable) -> bool:
-    """Three independent structural tests, which must agree.
-
-    Finite rings are zero-dimensional, so that hypothesis is free; the
-    three sub-checks rest on independent derivations (residue fields
-    from the primitive idempotents, N from the nilpotent scan, J from
-    the maximal ideals) and a mismatch raises :class:`DisagreementError`.
-    The shapes of R/N and R/J are read off two counts by
-    :func:`_shape_mod`, both in the one memo :func:`_radical_shapes`;
-    neither quotient is built.  The verdict is memoized, so both
-    group-ring predicates read it once per ring; a mismatch is not, and
-    raises on every call.
-    """
-    # all residue fields Z2, at most one Z3
-    residue_orders = _residue_orders(ring)
-    by_residues = all(s in (2, 3) for s in residue_orders) and residue_orders.count(3) <= 1
-    # R/N boolean, Z3 or boolean x Z3
-    mod_n, mod_j = _radical_shapes(ring)
-    by_nilradical = mod_n[1]
-    # J nil and the same shape for R/J
-    jac_is_nil = bool(element_classes(ring).nilpotents[jacobson_radical(ring).members].all())
-    by_jacobson = jac_is_nil and mod_j[1]
-
-    if not (by_residues == by_nilradical == by_jacobson):
-        raise DisagreementError(
-            f"weakly-nil-clean sub-checks disagree on {ring.label}: "
-            f"residues={by_residues} mod-N={by_nilradical} mod-J={by_jacobson}"
-        )
-    return by_residues
+    return _criteria(ring)[2]
 
 
 def weakly_nil_neat_criterion(ring: RingTable) -> bool:
@@ -215,17 +212,9 @@ def weakly_nil_neat_criterion(ring: RingTable) -> bool:
     leave Z3 x Z3, which is not weakly nil-clean.  Every nonzero prime
     ideal of a finite ring is maximal, so that clause holds
     automatically and is asserted by property tests rather than
-    filtered on.  R/J's shape is read off two counts by
-    :func:`_shape_mod`, without building R/J.
+    filtered on.
     """
-    if is_field(ring):
-        return True
-    if not jacobson_radical(ring).is_zero:
-        return _radical_shapes(ring)[1][1]
-    residue_orders = _residue_orders(ring)
-    if not all(s in (2, 3) for s in residue_orders):
-        return False
-    return residue_orders.count(3) <= 1 or residue_orders == (3, 3)
+    return _criteria(ring)[3]
 
 
 class PredicateResult(NamedTuple):

@@ -283,11 +283,6 @@ def quotient_ring(ring: RingTable, ideal: IdealSet) -> RingTable:
     )
 
 
-def is_field(ring: RingTable) -> bool:
-    """Every nonzero element is a unit."""
-    return np.count_nonzero(element_classes(ring).units) == ring.order - 1
-
-
 def _primitive_idempotents(ring: RingTable, idempotents: np.ndarray) -> np.ndarray:
     """The primitive idempotents, split off 1 along every idempotent.
 

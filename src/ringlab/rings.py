@@ -21,14 +21,13 @@ scan of ``add``.  After the build, the units are found on the rows of
 :func:`element_classes`).
 
 Facts derived from the tables (element classes, the ideal lattice,
-minimal and maximal ideals, the radicals, residue orders, the shapes of
-R/N and R/J, the four definitional verdicts, the weakly nil-clean
-criterion) are memoized on the instance by the private
-:func:`_memo` decorator, so each is computed at most once per ring.  A
-memo value is a bool, an int, a read-only array, an ideal, a tuple of
-these or a small frozen record of them, and never holds a reference
-back to the ring (an ideal keeps only its ring's order and label), so
-the tables are freed as soon as the ring itself is.  Two threads may
+minimal and maximal ideals, the radicals, the four definitional verdicts
+and the four structural ones) are memoized on the instance by the
+private :func:`_memo` decorator, so each is computed at most once per
+ring.  A memo value is a bool, an int, a read-only array, an ideal, a
+tuple of these or a small frozen record of them, and never holds a
+reference back to the ring (an ideal keeps only its ring's order and
+label), so the tables are freed as soon as the ring itself is.  Two threads may
 race to fill one entry; that only duplicates equal work.
 """
 
@@ -116,8 +115,8 @@ class RingTable:
             raise ValueError("operation tables must be square and of equal shape")
         n = int(add.shape[0])
         dt = _table_dtype(n)
-        zero = int(zero)
-        one = int(one)
+        zero = _as_int(zero, "zero and one")
+        one = _as_int(one, "zero and one")
         if n < 2:
             raise ValueError("rings of order < 2 are rejected: the identity must be non-zero")
         if not (0 <= zero < n and 0 <= one < n):
@@ -236,6 +235,7 @@ class ElementClasses:
 
 def make_zmod(n: int, *, cap: int = DEFAULT_ORDER_CAP) -> RingTable:
     """The ring of integers modulo ``n``, labelled ``Z<n>``."""
+    n = _as_int(n, "moduli")
     if n < 2:
         raise ValueError("modulus must be at least 2")
     if n > cap:

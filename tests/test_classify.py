@@ -14,7 +14,6 @@ from ringlab import (
     evaluate,
     group_ring,
     ideal_generated,
-    is_field,
     is_nil_clean_criterion,
     is_nil_neat_criterion,
     is_weakly_nil_clean_definitional,
@@ -165,7 +164,7 @@ def test_weakly_nil_neat_criterion_examples():
         if view.ring.order // len(m) == 4
     )
     assert weakly_nil_neat_criterion(f4)
-    assert is_field(f4)
+    assert util.units_by_scan(f4).sum() == f4.order - 1  # a field
 
 
 def test_criteria_match_definitional_on_catalog():
@@ -212,6 +211,30 @@ def test_nil_neat_predicate_does_not_call_its_oracle(monkeypatch):
     assert nil_neat_group_ring_predicate(_z(3), trivial)
     assert nil_neat_group_ring_predicate(_z(4), trivial)
     assert not nil_neat_group_ring_predicate(_prod(3, 3), trivial)
+
+
+def _refuse(monkeypatch, names):
+    """Replace every binding of ``names`` in the classify and ideals
+    modules by a stub that raises."""
+    def refused(*args):
+        raise AssertionError("one derivation called the other's code")
+
+    for module in (ringlab.classify, ringlab.ideals):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refused)
+
+
+def test_criteria_and_definitional_verdicts_share_no_code(monkeypatch):
+    # each side decides the catalog with the other side's helpers
+    # refused, on rings built fresh, so that no memo hides a read
+    want = [tuple(v.ok for v in classify_ring(ring).values()) for ring in small_catalog()]
+    structural, definitional = small_catalog(), small_catalog()
+    with monkeypatch.context() as patched:
+        _refuse(patched, ("_definitional_verdicts", "minimal_ideals", "_high_power", "_coset_map", "_clean_mod"))
+        assert [ringlab.classify._criteria(ring) for ring in structural] == want
+    _refuse(monkeypatch, ("maximal_ideals", "nilradical", "jacobson_radical", "element_classes", "_shape_mod", "_criteria"))
+    assert [tuple(v.ok for v in _definitional_verdicts(ring)) for ring in definitional] == want
 
 
 def test_nil_group_ring_predicates_match_definitional_on_sweep(sweep_group_rings):
@@ -341,11 +364,16 @@ def test_classify_ring_report():
 # Each fault below is injected into a ring built fresh in the test, so
 # no verdict memoized on an earlier ring can hide it.
 
-def test_weakly_nil_clean_subchecks_that_disagree_raise(monkeypatch):
-    monkeypatch.setattr(ringlab.classify, "_residue_orders", lambda ring: [4])
+@pytest.mark.parametrize("criterion", [
+    is_nil_clean_criterion, weakly_nil_clean_criterion, is_nil_neat_criterion, weakly_nil_neat_criterion,
+], ids=lambda criterion: criterion.__name__)
+def test_weakly_nil_clean_subchecks_that_disagree_raise(monkeypatch, criterion):
+    # Z4 reports its zero ideal as its one maximal ideal, so its residue
+    # orders read (4,), a field, while N and J still give R/N = R/J = Z2
+    monkeypatch.setattr(ringlab.classify, "maximal_ideals", lambda ring: (ideal_generated(ring, ()),))
     with pytest.raises(DisagreementError,
-                       match=r"sub-checks disagree on Z2: residues=False mod-N=True mod-J=True"):
-        weakly_nil_clean_criterion(make_zmod(2))
+                       match=r"sub-checks disagree on Z4: residues=False mod-N=True mod-J=True"):
+        criterion(make_zmod(4))
 
 
 def test_classify_ring_raises_when_criterion_and_scan_disagree(monkeypatch):

@@ -60,6 +60,10 @@ def test_make_zmod_builds_one_row_block_at_a_time():
 def test_make_zmod_rejects_degenerate():
     with pytest.raises(ValueError):
         make_zmod(1)
+    for modulus, kind in ((3.0, "float"), ("3", "str"), (True, "bool")):
+        with pytest.raises(ValueError, match=f"^moduli must be integers, not {kind}$"):
+            make_zmod(modulus)
+    assert make_zmod(np.int64(3)).label == "Z3"  # numpy integers stay accepted
     with pytest.raises(CapExceeded):
         make_zmod(100, cap=64)
 
@@ -392,10 +396,14 @@ def _z2_args(one):
     (_z4_args(neg=[0, 3, 2, 4]), "neg table entry out of range"),
     (_z4_args(neg=[[0, 3, 2, 1]]), r"neg must have shape \(4,\), not \(1, 4\)"),
     (_z4_args(neg=[0.0, 3.0, 2.0, 1.0]), "neg table entries must be integers, not float64"),
+    # int() would read these as zero 0 and one 1
+    (_z4_args(zero=0.7), "zero and one must be integers, not float"),
+    (_z4_args(one=True), "zero and one must be integers, not bool"),
+    (_z4_args(zero="0", one="1"), "zero and one must be integers, not str"),
 ], ids=["non-square", "unequal-shapes", "zero-out-of-range", "one-out-of-range", "zero-is-one",
         "add-entry-out-of-range", "mul-entry-out-of-range", "entry-wrapping-to-1", "negative-entry-wrapping-to-1",
         "float-entries", "add-row-without-zero", "neg-wrong", "neg-out-of-range", "neg-wrong-shape",
-        "neg-not-integer"])
+        "neg-not-integer", "zero-float", "one-bool", "zero-one-str"])
 def test_constructor_rejects_malformed_tables(args, message):
     with pytest.raises(ValueError, match=message):
         RingTable(**args)
