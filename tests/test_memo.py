@@ -134,17 +134,29 @@ def test_sweep_takes_element_classes_of_base_rings_only(monkeypatch):
     assert sorted(misses) == sorted(evaluate(e).label for e in ring_catalog(config))
 
 
-def test_criteria_are_derived_once_per_ring(monkeypatch):
+def test_residue_orders_are_derived_once_on_a_semiprimitive_ring(monkeypatch):
+    # J(Z6) = 0, so the weakly nil-neat criterion reads the residue orders
+    # as well as the weakly nil-clean one; both read them from the one
+    # memo of the four structural verdicts
+    base = make_zmod(6)
+    misses = _count_misses(monkeypatch, classify, "_criteria")
+    assert weakly_nil_neat_group_ring_predicate(base, make_group([])).condition == 1
+    assert weakly_nil_clean_group_ring_predicate(base, make_group([])).condition == 3
+    classify_ring(base)
+    assert misses == ["Z6"]
+
+
+def test_weakly_nil_clean_criterion_is_derived_once_per_ring(monkeypatch):
     # classify_ring and both group-ring predicates read all four
     # structural verdicts from one memo, for every group; J(Z4 x Z3) is
-    # nonzero and J(Z6) zero
+    # nonzero
+    base = direct_product(make_zmod(4), make_zmod(3))
     misses = _count_misses(monkeypatch, classify, "_criteria")
-    for base in (direct_product(make_zmod(4), make_zmod(3)), make_zmod(6)):
-        classify_ring(base)
-        for factors in ([], [2], [3]):
-            weakly_nil_neat_group_ring_predicate(base, make_group(factors))
-            weakly_nil_clean_group_ring_predicate(base, make_group(factors))
-    assert misses == ["Z4 x Z3", "Z6"]
+    classify_ring(base)
+    for factors in ([], [2], [3]):
+        weakly_nil_neat_group_ring_predicate(base, make_group(factors))
+        weakly_nil_clean_group_ring_predicate(base, make_group(factors))
+    assert misses == ["Z4 x Z3"]
 
 
 def _record_calls(monkeypatch, module, name) -> list:
